@@ -11,11 +11,8 @@ Both run on the vectorized batch engine
 (:mod:`repro.core.batch`): a sweep is one batch evaluation over every
 edited worksheet, and the crossover search evaluates a whole lattice of
 candidate block sizes per refinement round instead of one scalar probe
-per bisection step.  Evaluation goes through the process-wide
-:func:`~repro.core.plan.shared_plan`, so repeated sweeps reuse one
-compiled kernel's buffers (results are materialized into scalar rows
-before the plan can be re-entered).  Public signatures and result types
-are unchanged — ``SweepResult`` still carries scalar
+per bisection step.  Public signatures and result types are unchanged —
+``SweepResult`` still carries scalar
 :class:`~repro.core.throughput.ThroughputPrediction` rows.
 """
 
@@ -26,9 +23,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..core.batch import BatchInput
+from ..core.batch import BatchInput, batch_predict
 from ..core.buffering import BufferingMode
-from ..core.plan import shared_plan
 from ..core.params import RATInput
 from ..core.throughput import ThroughputPrediction, predict
 from ..errors import ParameterError
@@ -101,7 +97,7 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the throughput prediction across one edited parameter.
 
-    The whole family is evaluated in a single plan evaluation; each
+    The whole family is evaluated in a single batch call; each
     returned row is numerically identical to a scalar
     ``predict(edit(rat, v), mode)``.
     """
@@ -109,7 +105,7 @@ def sweep(
     if not value_list:
         raise ParameterError("sweep requires at least one value")
     inputs = [edit(rat, v) for v in value_list]
-    batch_result = shared_plan().evaluate(BatchInput.from_inputs(inputs), mode)
+    batch_result = batch_predict(BatchInput.from_inputs(inputs), mode)
     predictions = tuple(batch_result.rows(inputs))
     return SweepResult(parameter=parameter, values=value_list, predictions=predictions)
 
@@ -160,7 +156,7 @@ def crossover_block_size(
 
     The search runs on the batch engine: instead of one scalar probe per
     bisection step, each refinement round evaluates a whole lattice of
-    up to 64 candidate block sizes in a single plan evaluation,
+    up to 64 candidate block sizes in a single batch call,
     shrinking the bracket ~65x per round (the default 2**26 range
     resolves in five batch calls).  The result is identical to the
     scalar bisection's because batch rows match ``predict`` bitwise.
@@ -173,7 +169,7 @@ def crossover_block_size(
 
     def bound_lattice(sizes: Sequence[int]) -> np.ndarray:
         inputs = [rat.with_block_size(int(e), n_iterations) for e in sizes]
-        prediction = shared_plan().evaluate(BatchInput.from_inputs(inputs))
+        prediction = batch_predict(BatchInput.from_inputs(inputs))
         return prediction.computation_bound
 
     at_edges = bound_lattice([min_elements, max_elements])

@@ -11,9 +11,9 @@ Submodules
     Struct-of-arrays evaluation of the same equations over thousands to
     millions of design points per call (the exploration fast path).
 ``plan``
-    Compiled prediction plans: bind a worksheet once, pre-size buffers,
-    and run the equations as a fused tiled kernel with bitwise parity
-    to ``batch`` (the serve/explore steady-state path).
+    Compiled prediction plans: plan-owned, pre-sized result buffers
+    that ``batch``'s kernel evaluates into across calls (the
+    serve/explore steady-state path).
 ``buffering``
     Overlap scenarios of Figure 2 and analytic timeline construction.
 ``worksheet``
@@ -51,7 +51,7 @@ from .params import (
     RATInput,
     SoftwareParams,
 )
-from .plan import PlanCache, PredictionPlan, compile_plan, shared_plan
+from .plan import PlanCache, PredictionPlan, shared_plan
 from .throughput import ThroughputPrediction, predict
 from .worksheet import PerformanceTable, RATWorksheet
 
@@ -77,7 +77,6 @@ __all__ = [
     "SoftwareParams",
     "ThroughputPrediction",
     "TimelineSegment",
-    "compile_plan",
     "estimate_power",
     "lint_worksheet",
     "mark_rows_valid",

@@ -13,15 +13,21 @@ layer:
 * **Bitwise agreement.**  Every formula is written with the exact same
   operation order as the scalar functions in
   :mod:`repro.core.throughput`, so each row of a batch result is the
-  IEEE-754-identical value the scalar path would produce (pinned to
-  ~1e-12 by ``tests/core/test_batch.py``, and exactly relied upon by
-  ``crossover_block_size``'s lattice search).
+  IEEE-754-identical value the scalar path would produce (compared
+  exactly by ``tests/core/test_batch.py`` and ``tests/core/test_plan.py``,
+  and relied upon by ``crossover_block_size``'s lattice search).
 * **Round-tripping.**  :meth:`BatchInput.from_inputs` /
   :meth:`BatchInput.row` convert losslessly to and from the scalar
   :class:`~repro.core.params.RATInput`, and
   :meth:`BatchPrediction.row` rehydrates a scalar
   :class:`~repro.core.throughput.ThroughputPrediction`, so callers can
   keep their scalar result types while computing in bulk.
+
+One kernel, :func:`_predict_into`, is the only array evaluator of the
+equations.  It writes into result columns its caller supplies:
+:func:`batch_predict` hands it freshly allocated columns the caller then
+owns, and :class:`~repro.core.plan.PredictionPlan` hands it plan-owned
+buffers it reuses across calls.
 
 Validation mirrors the scalar dataclasses' ``__post_init__`` checks but
 runs vectorized; the first offending row is named in the error message.
@@ -56,6 +62,7 @@ from .params import (
 from .throughput import ThroughputPrediction
 
 __all__ = [
+    "DEFAULT_TILE",
     "BatchInput",
     "BatchPrediction",
     "RowViolation",
@@ -81,6 +88,25 @@ _COLUMNS = (
     "t_soft",
     "n_iterations",
 )
+
+#: Result columns, in :class:`BatchPrediction` field order.
+_RESULT_COLUMNS = (
+    "t_input",
+    "t_output",
+    "t_comm",
+    "t_comp",
+    "t_rc",
+    "speedup",
+    "util_comp",
+    "util_comm",
+)
+
+#: Rows per kernel tile.  ~19 live views of this length (11 inputs,
+#: 8 results) must stay resident while a tile is processed: 8192
+#: float64 rows keep the working set around 1.3 MB — inside L2 on
+#: anything current — while leaving each ufunc call long enough that
+#: numpy dispatch overhead stays negligible.
+DEFAULT_TILE = 8192
 
 
 def _as_column(name: str, values: object, n: int) -> np.ndarray:
@@ -212,13 +238,14 @@ class BatchInput:
     can never silently flow into the equations.
 
     ``broadcast`` names columns whose rows are all the identical value —
-    staging metadata that compiled plans exploit by reading such a
-    column once instead of streaming it per row.  It is a *trusted
-    invariant*, maintained automatically by :meth:`from_base` (the only
-    constructor that knows a column was broadcast from one scalar) and
-    preserved by slicing/``take``; callers constructing batches directly
-    must list a column only if every row truly holds one value, or
-    plan-evaluated results will silently diverge from ``batch_predict``.
+    staging metadata the kernel exploits by reading such a column once
+    instead of streaming it per row.  It is a *trusted invariant*,
+    maintained automatically by :meth:`from_base` (the only constructor
+    that knows a column was broadcast from one scalar) and preserved by
+    slicing/``take``; callers constructing batches directly must list a
+    column only if every row truly holds one value, or every row is
+    evaluated with the column's first value and results silently
+    diverge from scalar ``predict``.
     """
 
     elements_in: np.ndarray
@@ -337,9 +364,9 @@ class BatchInput:
         the class docstring) for quarantine-style callers.
 
         Columns left at the base worksheet's value (or overridden with a
-        scalar) are recorded in ``broadcast``, which lets a compiled
-        :class:`~repro.core.plan.PredictionPlan` read them as scalars
-        instead of streaming ``n`` identical values per evaluation.
+        scalar) are recorded in ``broadcast``, which lets the kernel
+        read them as scalars instead of streaming ``n`` identical values
+        per evaluation.
         """
         if n < 1:
             raise ParameterError(f"batch size must be >= 1, got {n}")
@@ -572,64 +599,106 @@ def batch_predict(
 
     Each row is computed with the same operation order as the scalar
     :func:`repro.core.throughput.predict`, so results agree bitwise.
+    The result columns are freshly allocated and owned by the caller.
     The call increments ``throughput.predictions`` by the batch size and
     feeds the ``throughput.speedup`` histogram in bulk, keeping metric
     semantics consistent with the scalar path.
     """
-    if mode not in (BufferingMode.SINGLE, BufferingMode.DOUBLE):
-        raise ParameterError(f"unknown buffering mode {mode!r}")
-    if not batch.checked:
-        # A deferred-validation batch must never reach the equations with
-        # invalid rows: the divisions below would turn them into silent
-        # inf/NaN where the scalar path raises.  Quarantine callers split
-        # the batch with valid_row_mask()/take() before predicting.
-        batch._validate()
     n = len(batch)
     with get_tracer().span(
-        "rat.batch_predict", {"points": n, "mode": mode.value}, "throughput"
+        "rat.batch_predict", {"points": n, "mode": str(mode)}, "throughput"
     ):
-        # Buffers are reused via ``out=`` once an intermediate is dead:
-        # at a million rows each float64 column is 8 MB, and letting
-        # every intermediate allocate fresh pages made first-touch page
-        # faults — not arithmetic — the dominant cost.  Values are
-        # unchanged (same ufuncs, same operation order as scalar).
-        # Equation (2): bytes_in / write_bandwidth, same op order as scalar.
-        bytes_in = batch.elements_in * batch.bytes_per_element
-        write_bandwidth = batch.alpha_write * batch.ideal_bandwidth
-        t_input = np.divide(bytes_in, write_bandwidth, out=bytes_in)
-        # Equation (3), with the scalar path's zero-output short-circuit.
-        bytes_out = np.multiply(
-            batch.elements_out, batch.bytes_per_element, out=write_bandwidth
-        )
-        read_bandwidth = batch.alpha_read * batch.ideal_bandwidth
-        t_output = np.divide(bytes_out, read_bandwidth, out=bytes_out)
-        np.copyto(t_output, 0.0, where=batch.elements_out == 0)
-        # Equations (1), (4).
-        t_comm = t_input + t_output
-        total_ops = np.multiply(
-            batch.elements_in, batch.ops_per_element, out=read_bandwidth
-        )
-        ops_per_second = batch.clock_hz * batch.throughput_proc
-        t_comp = np.divide(total_ops, ops_per_second, out=total_ops)
-        # Equations (5)-(11).
-        if mode is BufferingMode.SINGLE:
-            t_iteration = np.add(t_comm, t_comp, out=ops_per_second)
-        else:
-            t_iteration = np.maximum(t_comm, t_comp, out=ops_per_second)
-        t_rc = batch.n_iterations * t_iteration
-        prediction = BatchPrediction(
-            batch=batch,
-            mode=mode,
-            t_input=t_input,
-            t_output=t_output,
-            t_comm=t_comm,
-            t_comp=t_comp,
-            t_rc=t_rc,
-            speedup=batch.t_soft / t_rc,
-            util_comp=t_comp / t_iteration,
-            util_comm=t_comm / t_iteration,
-        )
+        columns = [np.empty(n) for _ in _RESULT_COLUMNS]
+        _predict_into(batch, mode, columns)
+    return BatchPrediction(batch, mode, *columns)
+
+
+def _predict_into(
+    batch: BatchInput, mode: BufferingMode, out: Sequence[np.ndarray]
+) -> None:
+    """The Equations (1)-(11) kernel: evaluate ``batch`` into ``out``.
+
+    ``out`` holds the eight result columns, in :class:`BatchPrediction`
+    field order, each exactly ``len(batch)`` rows long.  Unchecked
+    batches are validated first: the divisions would turn invalid rows
+    into silent inf/NaN where the scalar path raises, so quarantine
+    callers split the batch with ``valid_row_mask``/``take`` (or vouch
+    for it with :func:`mark_rows_valid`) before predicting.
+
+    Batches longer than :data:`DEFAULT_TILE` rows are walked in tiles,
+    so the whole equation chain runs on each tile while it is hot in
+    cache.  Columns listed in ``batch.broadcast`` are read once as
+    Python floats, so a product of two of them is one scalar multiply
+    instead of a column pass.  Every operation is elementwise and
+    applied in the scalar path's order, so neither tiling nor folding
+    changes any row's bits.
+    """
+    if mode is BufferingMode.SINGLE:
+        iteration = np.add
+    elif mode is BufferingMode.DOUBLE:
+        iteration = np.maximum
+    else:
+        raise ParameterError(f"unknown buffering mode {mode!r}")
+    if not batch.checked:
+        batch._validate()
+    n = len(batch)
+    # An empty batch has no row to read a broadcast value from.
+    broadcast = batch.broadcast if n else ()
+    inputs = [
+        float(getattr(batch, name)[0]) if name in broadcast
+        else getattr(batch, name)
+        for name in _COLUMNS
+    ]
+    if n <= DEFAULT_TILE:
+        _equations(inputs, out, iteration)
+    else:
+        for lo in range(0, n, DEFAULT_TILE):
+            t = slice(lo, lo + DEFAULT_TILE)
+            _equations(
+                [v if type(v) is float else v[t] for v in inputs],
+                [column[t] for column in out],
+                iteration,
+            )
     metrics = get_metrics()
     metrics.counter("throughput.predictions").inc(n)
-    metrics.histogram("throughput.speedup").observe_many(prediction.speedup)
-    return prediction
+    metrics.histogram("throughput.speedup").observe_many(out[5])
+
+
+def _equations(
+    inputs: Sequence[np.ndarray | float],
+    out: Sequence[np.ndarray],
+    iteration: np.ufunc,
+) -> None:
+    """Equations (1)-(11) over one tile, in the scalar path's order.
+
+    Intermediates land in the tile's result views; ``s`` (the speedup
+    view) is scratch until Equation (7) fills it.
+    """
+    e_in, e_out, bpe, bw, a_w, a_r, ops, thr, clk, t_soft, n_iter = inputs
+    t_input, t_output, t_comm, t_comp, t_rc, s, u_comp, u_comm = out
+    # Equation (2): bytes_in / (alpha_write * bandwidth).
+    np.divide(_times(e_in, bpe, t_input), _times(a_w, bw, s), t_input)
+    # Equation (3), with the scalar path's zero-output short-circuit.
+    np.divide(_times(e_out, bpe, t_output), _times(a_r, bw, s), t_output)
+    if type(e_out) is not float:
+        t_output[e_out == 0] = 0.0
+    elif e_out == 0:
+        t_output.fill(0.0)
+    # Equations (1), (4).
+    np.add(t_input, t_output, t_comm)
+    np.divide(_times(e_in, ops, t_comp), _times(clk, thr, s), t_comp)
+    # Equations (5)-(11); s holds the iteration time until (7).
+    iteration(t_comm, t_comp, out=s)
+    np.divide(t_comp, s, u_comp)
+    np.divide(t_comm, s, u_comm)
+    np.multiply(n_iter, s, t_rc)
+    np.divide(t_soft, t_rc, s)
+
+
+def _times(
+    a: np.ndarray | float, b: np.ndarray | float, out: np.ndarray
+) -> np.ndarray | float:
+    """``a * b``: one scalar multiply if both are broadcast floats."""
+    if type(a) is float and type(b) is float:
+        return a * b
+    return np.multiply(a, b, out)

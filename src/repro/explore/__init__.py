@@ -11,8 +11,8 @@ fault-tolerant:
     with grid / random / explicit-list sampling plans, convertible to
     scalar ``RATInput`` rows or one struct-of-arrays batch.
 ``executor``
-    :func:`explore`: chunked evaluation through
-    :func:`repro.core.batch.batch_predict`, serial or process-parallel;
+    :func:`explore`: chunked evaluation through the batch engine's
+    compiled plans, serial or process-parallel;
     :func:`map_designs` for non-vectorizable evaluators (hardware
     simulation, goal-seek).
 ``runtime``
@@ -25,15 +25,11 @@ fault-tolerant:
     :class:`ChunkJournal`: JSONL chunk journal keyed by a content hash
     of the run, so an interrupted exploration resumes from completed
     chunks with bitwise-identical results.
-``cache``
-    :class:`PredictionCache`: LRU memoization of scalar predictions
-    keyed on the frozen worksheet.
 
 The ``rat explore`` CLI subcommand is a thin wrapper over
 :meth:`DesignSpace.grid` + :func:`explore`.
 """
 
-from .cache import PredictionCache
 from .checkpoint import ChunkJournal, run_key
 from .executor import (
     DEFAULT_CHUNK_SIZE,
@@ -64,7 +60,6 @@ __all__ = [
     "MapResult",
     "ON_ERROR_POLICIES",
     "PointFailure",
-    "PredictionCache",
     "RetryPolicy",
     "axis_names",
     "explore",

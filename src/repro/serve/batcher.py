@@ -21,9 +21,8 @@ Correctness contracts:
 
 * **Bitwise parity.**  A prediction served through a coalesced batch is
   IEEE-754-identical to what scalar ``predict()`` returns for the same
-  worksheet — inherited from the plan kernel's operation-order guarantee
-  (itself bitwise-equal to :func:`repro.core.batch.batch_predict`),
-  preserved here by staging worksheet fields with exactly the
+  worksheet — inherited from the batch kernel's operation-order
+  guarantee, preserved here by staging worksheet fields with exactly the
   conversions :meth:`RATInput.from_dict` applies.
 * **Row-level quarantine.**  One invalid worksheet in a coalesced batch
   fails only that request: rows are staged unvalidated, triaged with
@@ -58,7 +57,7 @@ import numpy as np
 
 from ..core.batch import BatchInput, mark_rows_valid, row_violations
 from ..core.buffering import BufferingMode
-from ..core.plan import compile_plan
+from ..core.plan import PredictionPlan
 from ..core.params import RATInput
 from ..errors import AdmissionError, DeadlineError, ParameterError, ServeError
 from ..obs import get_metrics, get_tracer
@@ -268,7 +267,7 @@ class MicroBatcher:
         # One compiled plan per batcher, pre-sized to the batch window:
         # every coalesced batch reuses its buffers, so the steady-state
         # request path allocates nothing and plan.compiles stays flat.
-        self._plan = compile_plan(capacity=max_batch_size)
+        self._plan = PredictionPlan(capacity=max_batch_size)
         # Hot-path instruments, resolved once: registry lookups are
         # cheap but run per request, and instruments are stable.
         metrics = get_metrics()

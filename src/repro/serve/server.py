@@ -6,10 +6,12 @@ implemented by :mod:`repro.serve.protocol`: persistent connections,
 ``Content-Length`` bodies, one request at a time per connection.
 
 Graceful drain: on :meth:`RATServer.drain` (wired to SIGTERM/SIGINT by
-:func:`serve`) the listener closes, keep-alive loops answer their
-current request with ``Connection: close``, the app stops admitting new
-predictions, and the micro-batcher finishes everything already queued
-before the process exits — so a deploy never drops an accepted request.
+:func:`serve`) the listener closes, the app stops admitting new
+predictions, and every connection stops reading: one idling between
+requests closes, and a request already read gets its response with
+``Connection: close``.  The micro-batcher finishes everything already
+queued before the process exits — so a deploy never drops an accepted
+request.
 """
 
 from __future__ import annotations
@@ -59,7 +61,10 @@ class RATServer:
         #: shards).  When set, ``host``/``port`` are informational.
         self.sock = sock
         self._server: asyncio.Server | None = None
-        self._connections = 0
+        #: Open connections: handler task -> its (reader, writer).
+        self._clients: dict[
+            asyncio.Task, tuple[asyncio.StreamReader, asyncio.StreamWriter]
+        ] = {}
         self._draining = asyncio.Event()
 
     # ---- lifecycle ---------------------------------------------------------
@@ -112,16 +117,29 @@ class RATServer:
             await self._server.wait_closed()
             self._server = None
         self.app.draining = True
+        # A handler waiting on its reader (between requests, or for the
+        # rest of one) sees EOF and leaves through the clean-EOF path; a
+        # handler inside app.handle sees it only after answering with
+        # Connection: close.  Reading stops first: a stream rejects data
+        # fed after EOF.
+        for reader, writer in self._clients.values():
+            writer.transport.pause_reading()
+            reader.feed_eof()
         await self.app.wait_idle(self.drain_timeout_s)
         await self.app.shutdown(drain=True)
+        # Let the handlers finish: one still running when the event loop
+        # stops is cancelled, which asyncio reports as an error.
+        if self._clients:
+            await asyncio.wait(self._clients, timeout=self.drain_timeout_s)
 
     # ---- connection handling -----------------------------------------------
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections += 1
-        get_metrics().gauge("serve.connections").set(self._connections)
+        task = asyncio.current_task()
+        self._clients[task] = reader, writer
+        get_metrics().gauge("serve.connections").set(len(self._clients))
         try:
             await self._connection_loop(reader, writer)
         except (
@@ -131,8 +149,8 @@ class RATServer:
         ):
             pass  # client went away mid-request; nothing to answer
         finally:
-            self._connections -= 1
-            get_metrics().gauge("serve.connections").set(self._connections)
+            del self._clients[task]
+            get_metrics().gauge("serve.connections").set(len(self._clients))
             with contextlib.suppress(ConnectionError):
                 writer.close()
                 await writer.wait_closed()
@@ -183,8 +201,8 @@ class RATServer:
                 version=version,
                 query=query,
             )
-            keep_alive = request.keep_alive and not self._draining.is_set()
             response = await self.app.handle(request)
+            keep_alive = request.keep_alive and not self._draining.is_set()
             await self._respond(writer, response, keep_alive=keep_alive)
             if not keep_alive:
                 return

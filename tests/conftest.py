@@ -105,3 +105,39 @@ def rat_inputs() -> st.SearchStrategy[RATInput]:
         ),
         name=st.just("hypothesis"),
     )
+
+
+# ---------------------------------------------------------------------------
+# Parity oracle
+# ---------------------------------------------------------------------------
+
+#: BatchPrediction result columns, in field order.
+RESULT_COLUMNS = (
+    "t_input", "t_output", "t_comm", "t_comp", "t_rc",
+    "speedup", "util_comp", "util_comm",
+)
+
+
+def assert_matches_scalar(batch, mode, *results, context=""):
+    """Every row of each batch result equals scalar ``predict`` exactly.
+
+    Scalar :func:`~repro.core.throughput.predict` is the readable
+    reference implementation of Equations (1)-(11); the vector kernel
+    must reproduce its IEEE-754 bits on every row and column.
+    """
+    from repro.core.throughput import predict
+
+    tables = []
+    for result in results:
+        assert len(result) == len(batch)
+        tables.append(
+            {name: getattr(result, name).tolist() for name in RESULT_COLUMNS}
+        )
+    for i in range(len(batch)):
+        scalar = predict(batch.row(i), mode)
+        for name in RESULT_COLUMNS:
+            expected = getattr(scalar, name)
+            for columns in tables:
+                assert columns[name][i] == expected, (
+                    f"{name} row {i} diverged from scalar predict {context}"
+                )

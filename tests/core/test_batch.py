@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch import BatchInput, batch_predict, mark_rows_valid
 from repro.core.buffering import BufferingMode
@@ -10,7 +11,7 @@ from repro.core.throughput import predict
 from repro.errors import ParameterError
 from repro.obs import get_metrics
 
-from tests.conftest import rat_inputs
+from tests.conftest import assert_matches_scalar, rat_inputs
 
 
 def _random_inputs(base, rng, n):
@@ -84,29 +85,20 @@ class TestBatchInput:
 
 class TestBatchPredictParity:
     @pytest.mark.parametrize("mode", list(BufferingMode))
-    def test_matches_scalar_within_1e12(self, pdf1d_rat, rng, mode):
+    def test_matches_scalar_exactly(self, pdf1d_rat, rng, mode):
         inputs = _random_inputs(pdf1d_rat, rng, 200)
-        result = batch_predict(BatchInput.from_inputs(inputs), mode)
-        fields = ("t_input", "t_output", "t_comm", "t_comp", "t_rc",
-                  "speedup", "util_comp", "util_comm")
-        for i, rat in enumerate(inputs):
-            scalar = predict(rat, mode)
-            for name in fields:
-                expected = getattr(scalar, name)
-                got = float(getattr(result, name)[i])
-                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), (
-                    f"{name} row {i}"
-                )
+        batch = BatchInput.from_inputs(inputs)
+        assert_matches_scalar(batch, mode, batch_predict(batch, mode))
 
     @given(rat_inputs())
     @settings(max_examples=30, deadline=None)
     def test_matches_scalar_on_hypothesis_inputs(self, rat):
-        for mode in BufferingMode:
-            scalar = predict(rat, mode)
-            row = batch_predict(BatchInput.from_inputs([rat]), mode).row(0)
-            assert row.t_rc == pytest.approx(scalar.t_rc, rel=1e-12)
-            assert row.speedup == pytest.approx(scalar.speedup, rel=1e-12)
-            assert row.util_comm == pytest.approx(scalar.util_comm, rel=1e-12)
+        # One row streamed (from_inputs) and one with every column a
+        # broadcast scalar (from_base): both kernel paths, exact bits.
+        for batch in (BatchInput.from_inputs([rat]),
+                      BatchInput.from_base(rat, 1)):
+            for mode in BufferingMode:
+                assert_matches_scalar(batch, mode, batch_predict(batch, mode))
 
     def test_zero_output_elements(self, pdf1d_rat):
         # pdf1d communicates a single output element; force zero to hit
@@ -117,9 +109,10 @@ class TestBatchPredictParity:
             pdf1d_rat,
             dataset=dataclasses.replace(pdf1d_rat.dataset, elements_out=0),
         )
-        result = batch_predict(BatchInput.from_inputs([rat]))
+        batch = BatchInput.from_inputs([rat])
+        result = batch_predict(batch)
         assert float(result.t_output[0]) == 0.0
-        assert float(result.t_comm[0]) == predict(rat).t_comm
+        assert_matches_scalar(batch, BufferingMode.SINGLE, result)
 
     def test_row_rehydrates_prediction(self, md_rat):
         result = batch_predict(BatchInput.from_inputs([md_rat]))
@@ -152,7 +145,7 @@ class TestBatchPredictionHelpers:
         result = batch_predict(BatchInput.from_inputs([simple_rat]))
         (record,) = result.as_records()
         assert record["name"] == "simple"
-        assert record["speedup"] == pytest.approx(predict(simple_rat).speedup)
+        assert record["speedup"] == predict(simple_rat).speedup
 
     def test_invalid_mode_rejected(self, simple_rat):
         with pytest.raises(ParameterError):
@@ -221,8 +214,9 @@ class TestBroadcastMetadata:
             BatchInput(**columns, broadcast=frozenset({"warp_drive"}))
 
     def test_broadcast_batch_predict_parity(self, simple_rat):
-        # batch_predict ignores the metadata entirely; a broadcast-rich
-        # batch and a plain batch with identical columns agree bitwise.
+        # batch_predict reads broadcast columns once as scalars; a
+        # broadcast-rich batch and a plain batch with identical columns
+        # both agree with scalar predict exactly.
         rich = BatchInput.from_base(
             simple_rat, 50, {"clock_hz": np.linspace(5e7, 3e8, 50)}
         )
@@ -236,10 +230,10 @@ class TestBroadcastMetadata:
             )
         ))
         assert plain.broadcast == frozenset()
-        a = batch_predict(rich)
-        b = batch_predict(plain)
-        assert np.array_equal(a.speedup, b.speedup)
-        assert np.array_equal(a.t_rc, b.t_rc)
+        for batch in (rich, plain):
+            assert_matches_scalar(
+                batch, BufferingMode.SINGLE, batch_predict(batch)
+            )
 
 
 class TestMarkRowsValid:
@@ -265,3 +259,29 @@ class TestMarkRowsValid:
         mark_rows_valid(batch)
         result = batch_predict(batch)  # no ParameterError raised
         assert len(result) == 3
+
+
+#: Worksheet inputs that can only speed a design up when raised.
+_SPEEDUP_KNOBS = ("clock_hz", "throughput_proc", "alpha_write", "alpha_read")
+
+
+class TestMonotonicity:
+    """Raising a speed knob never lowers the vector kernel's speedup.
+
+    Every IEEE-754 operation rounds monotonically, so the property holds
+    exactly, not merely approximately.  The raised value streams as a
+    column while the other fields broadcast.
+    """
+
+    @given(rat=rat_inputs(), knob=st.sampled_from(_SPEEDUP_KNOBS),
+           factor=st.floats(min_value=1.0, max_value=16.0))
+    @settings(max_examples=60, deadline=None)
+    def test_speedup_monotone_in_speed_knobs(self, rat, knob, factor):
+        low = float(getattr(BatchInput.from_base(rat, 1), knob)[0])
+        high = low * factor
+        if knob.startswith("alpha"):
+            high = min(high, 1.0)
+        batch = BatchInput.from_base(rat, 2, {knob: [low, high]})
+        for mode in BufferingMode:
+            slow, fast = batch_predict(batch, mode).speedup
+            assert fast >= slow, (knob, mode.value, low, high)

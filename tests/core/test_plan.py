@@ -1,12 +1,12 @@
-"""PredictionPlan tests: bitwise parity, buffers, caching, float32.
+"""PredictionPlan tests: scalar parity, buffers, caching.
 
-The plan's contract is that compiling changes *cost*, never *bits*: in
-float64 mode every result column must be IEEE-754-identical to the
-uncompiled ``batch_predict`` path across every staging shape the engine
-supports — from_base broadcast batches, from_inputs row batches, slices,
-and the ``check=False`` quarantine flow — while reusing buffers across
-calls and growing them without state leakage.  float32 mode trades that
-contract for a documented ulp bound, asserted here.
+The plan's contract is that reusing buffers changes *cost*, never
+*bits*: every result column must be IEEE-754-identical to scalar
+``predict`` row by row, across every staging shape the engine supports —
+from_base broadcast batches, from_inputs row batches, slices, batches
+spanning several kernel tiles, and the ``check=False`` quarantine flow —
+while reusing buffers across calls and growing them without state
+leakage.
 """
 
 from __future__ import annotations
@@ -18,44 +18,22 @@ from hypothesis import strategies as st
 
 from repro.apps import get_case_study, list_case_studies
 from repro.core.batch import (
+    DEFAULT_TILE,
     BatchInput,
     batch_predict,
     mark_rows_valid,
     row_violations,
 )
 from repro.core.buffering import BufferingMode
-from repro.core.plan import (
-    DEFAULT_TILE,
-    PlanCache,
-    PredictionPlan,
-    compile_plan,
-    shared_plan,
-)
+from repro.core.plan import PlanCache, PredictionPlan, shared_plan
+from repro.core.throughput import predict
 from repro.errors import ParameterError
 from repro.obs import get_metrics
 
-from tests.conftest import rat_inputs
+from tests.conftest import assert_matches_scalar, rat_inputs
 
-RESULT_COLUMNS = (
-    "t_input", "t_output", "t_comm", "t_comp", "t_rc",
-    "speedup", "util_comp", "util_comm",
-)
-
+SINGLE = BufferingMode.SINGLE
 MODES = (BufferingMode.SINGLE, BufferingMode.DOUBLE)
-
-#: Documented bound for the float32 mode: with ~6 rounded operations
-#: between inputs and any output, results stay within 8 float32 ulps of
-#: the rounded float64 answer (measured worst case on this chain: 5).
-FLOAT32_ULP_BOUND = 8
-
-
-def assert_bitwise_equal(plan_result, batch_result, context=""):
-    for name in RESULT_COLUMNS:
-        ours = getattr(plan_result, name)
-        reference = getattr(batch_result, name)
-        assert np.array_equal(ours, reference, equal_nan=True), (
-            f"plan diverged from batch_predict on {name} {context}"
-        )
 
 
 def space_batch(base, n, seed=7):
@@ -73,12 +51,14 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("mode", MODES)
     def test_every_registry_worksheet(self, name, mode):
         base = get_case_study(name).rat
-        batch = space_batch(base, 4097)  # crosses a tile boundary
-        plan = PredictionPlan(base)
-        assert_bitwise_equal(
-            plan.evaluate(batch, mode),
+        # Two tile boundaries and a partial last tile, through both
+        # buffer policies: plan-owned views and fresh columns.
+        batch = space_batch(base, 2 * DEFAULT_TILE + 3)
+        assert_matches_scalar(
+            batch, mode,
+            PredictionPlan(base).evaluate(batch, mode),
             batch_predict(batch, mode),
-            f"({name}, {mode.value})",
+            context=f"({name}, {mode.value})",
         )
 
     @pytest.mark.parametrize("mode", MODES)
@@ -90,18 +70,14 @@ class TestBitwiseParity:
             [pdf1d_rat, pdf2d_rat, md_rat, simple_rat] * 7
         )
         assert batch.broadcast == frozenset()
-        assert_bitwise_equal(
-            PredictionPlan().evaluate(batch, mode),
-            batch_predict(batch, mode),
-        )
+        assert_matches_scalar(batch, mode, PredictionPlan().evaluate(batch, mode))
 
     def test_slices_of_a_batch(self, pdf1d_rat):
         batch = space_batch(pdf1d_rat, 1000)
         plan = PredictionPlan(pdf1d_rat)
         for sliced in (batch[:10], batch[100:200], batch[::7]):
-            assert_bitwise_equal(
-                plan.evaluate(sliced), batch_predict(sliced)
-            )
+            for mode in MODES:
+                assert_matches_scalar(sliced, mode, plan.evaluate(sliced, mode))
 
     def test_zero_output_rows(self, pdf1d_rat):
         # elements_out == 0 rows take the zero-cost output branch.
@@ -116,9 +92,9 @@ class TestBitwiseParity:
         }
         columns["elements_out"][::3] = 0.0
         mixed = BatchInput(**columns)
-        assert_bitwise_equal(
-            PredictionPlan().evaluate(mixed), batch_predict(mixed)
-        )
+        for mode in MODES:
+            assert_matches_scalar(mixed, mode,
+                                  PredictionPlan().evaluate(mixed, mode))
 
     def test_all_outputs_zero_broadcast(self, simple_rat):
         # A broadcast elements_out of exactly 0 must still zero the
@@ -132,26 +108,17 @@ class TestBitwiseParity:
         batch = BatchInput.from_base(
             base, 100, {"clock_hz": np.linspace(5e7, 3e8, 100)}
         )
-        result = PredictionPlan(base).evaluate(batch)
-        assert np.all(result.t_output == 0.0)
-        assert_bitwise_equal(result, batch_predict(batch))
+        for mode in MODES:
+            result = PredictionPlan(base).evaluate(batch, mode)
+            assert np.all(result.t_output == 0.0)
+            assert_matches_scalar(batch, mode, result)
 
     @settings(max_examples=25, deadline=None)
     @given(inputs=st.lists(rat_inputs(), min_size=1, max_size=8),
            mode=st.sampled_from(MODES))
     def test_property_parity_on_random_worksheets(self, inputs, mode):
         batch = BatchInput.from_inputs(inputs)
-        assert_bitwise_equal(
-            PredictionPlan().evaluate(batch, mode),
-            batch_predict(batch, mode),
-        )
-
-    def test_tiny_tile_still_bitwise(self, pdf1d_rat):
-        # Tiling at any granularity (here: pathological tile=3) must
-        # not change per-row arithmetic.
-        batch = space_batch(pdf1d_rat, 257)
-        plan = PredictionPlan(pdf1d_rat, tile=3)
-        assert_bitwise_equal(plan.evaluate(batch), batch_predict(batch))
+        assert_matches_scalar(batch, mode, PredictionPlan().evaluate(batch, mode))
 
 
 class TestQuarantinePath:
@@ -193,10 +160,10 @@ class TestQuarantinePath:
             [i for i in range(64) if i not in (10, 20)], dtype=np.intp
         )
         survivors = mark_rows_valid(staged.take(keep, check=False))
-        assert_bitwise_equal(
-            PredictionPlan().evaluate(survivors),
-            batch_predict(survivors),
-        )
+        for mode in MODES:
+            assert_matches_scalar(
+                survivors, mode, PredictionPlan().evaluate(survivors, mode)
+            )
 
     def test_checked_batch_skips_revalidation(self, pdf1d_rat, monkeypatch):
         batch = space_batch(pdf1d_rat, 16)
@@ -217,9 +184,8 @@ class TestBuffers:
         assert plan.grows == 0
         for n in (4, 8, 9, 100, 3000):
             batch = space_batch(pdf1d_rat, n, seed=n)
-            assert_bitwise_equal(
-                plan.evaluate(batch), batch_predict(batch), f"(n={n})"
-            )
+            assert_matches_scalar(batch, SINGLE, plan.evaluate(batch),
+                                  context=f"(n={n})")
         assert plan.capacity >= 3000
         assert plan.grows > 0
 
@@ -234,12 +200,11 @@ class TestBuffers:
                                                   pdf2d_rat):
         plan = PredictionPlan()
         first = space_batch(pdf1d_rat, 300, seed=1)
-        expected = batch_predict(first)
         plan.evaluate(first)
         plan.evaluate(space_batch(pdf2d_rat, 200, seed=2))
         plan.evaluate(space_batch(pdf1d_rat, 17, seed=3))
-        # Same plan, same input, after unrelated work: identical again.
-        assert_bitwise_equal(plan.evaluate(first), expected)
+        # Same plan, same input, after unrelated work: exact again.
+        assert_matches_scalar(first, SINGLE, plan.evaluate(first))
 
     def test_views_invalidate_but_copies_survive(self, pdf1d_rat):
         plan = PredictionPlan(pdf1d_rat)
@@ -249,11 +214,10 @@ class TestBuffers:
         copied = plan.evaluate(batch, copy=True)
         snapshot = copied.speedup.copy()
         plan.evaluate(other)  # clobbers the shared buffers
-        assert not np.array_equal(
-            viewed.speedup, batch_predict(batch).speedup
-        )
+        expected = [predict(batch.row(i)).speedup for i in range(len(batch))]
+        assert viewed.speedup.tolist() != expected
         assert np.array_equal(copied.speedup, snapshot)
-        assert np.array_equal(copied.speedup, batch_predict(batch).speedup)
+        assert copied.speedup.tolist() == expected
 
     def test_evaluate_steady_state_allocates_no_arrays(self, pdf1d_rat):
         # tracemalloc sees numpy's array allocations; after warm-up an
@@ -281,84 +245,10 @@ class TestValidation:
         with pytest.raises(ParameterError, match="capacity"):
             PredictionPlan(capacity=-1)
 
-    def test_rejects_bad_tile(self):
-        with pytest.raises(ParameterError, match="tile"):
-            PredictionPlan(tile=0)
-
-    def test_rejects_bad_dtype(self):
-        with pytest.raises(ParameterError, match="dtype"):
-            PredictionPlan(dtype=np.int32)
-
     def test_rejects_bad_mode(self, pdf1d_rat):
         plan = PredictionPlan(pdf1d_rat)
         with pytest.raises(ParameterError, match="buffering mode"):
             plan.evaluate(space_batch(pdf1d_rat, 4), "both")
-
-    def test_batch_requires_base(self):
-        with pytest.raises(ParameterError, match="base worksheet"):
-            PredictionPlan().batch(4)
-
-    def test_batch_stages_from_base(self, pdf1d_rat):
-        plan = PredictionPlan(pdf1d_rat)
-        staged = plan.batch(5, {"clock_hz": np.full(5, 1e8)})
-        reference = BatchInput.from_base(
-            pdf1d_rat, 5, {"clock_hz": np.full(5, 1e8)}
-        )
-        assert staged.broadcast == reference.broadcast
-        for name in ("elements_in", "clock_hz", "alpha_write", "t_soft"):
-            assert np.array_equal(
-                getattr(staged, name), getattr(reference, name)
-            )
-
-    def test_frozen_scalars_match_worksheet(self, simple_rat):
-        plan = PredictionPlan(simple_rat)
-        assert plan.frozen["elements_in"] == 1000.0
-        assert plan.frozen["alpha_read"] == 0.25
-        assert plan.frozen["clock_hz"] == 1e8
-
-
-class TestFloat32:
-    def test_within_documented_ulp_bound(self, pdf1d_rat):
-        batch = space_batch(pdf1d_rat, 20000)
-        reference = batch_predict(batch)
-        result = PredictionPlan(pdf1d_rat, dtype=np.float32).evaluate(batch)
-        for name in RESULT_COLUMNS:
-            ours = getattr(result, name)
-            assert ours.dtype == np.float32
-            rounded = getattr(reference, name).astype(np.float32)
-            # All values are finite and non-negative, so int32-view
-            # distance is a valid ulp metric.
-            ulps = np.abs(
-                rounded.view(np.int32).astype(np.int64)
-                - ours.view(np.int32).astype(np.int64)
-            )
-            assert int(ulps.max()) <= FLOAT32_ULP_BOUND, (
-                f"{name}: {int(ulps.max())} ulps"
-            )
-
-    def test_generic_path_within_bound_too(self, pdf1d_rat, pdf2d_rat,
-                                           md_rat, simple_rat):
-        batch = BatchInput.from_inputs(
-            [pdf1d_rat, pdf2d_rat, md_rat, simple_rat] * 5
-        )
-        reference = batch_predict(batch)
-        result = PredictionPlan(dtype=np.float32).evaluate(batch)
-        for name in RESULT_COLUMNS:
-            rounded = getattr(reference, name).astype(np.float32)
-            ulps = np.abs(
-                rounded.view(np.int32).astype(np.int64)
-                - getattr(result, name).view(np.int32).astype(np.int64)
-            )
-            assert int(ulps.max()) <= FLOAT32_ULP_BOUND
-
-    def test_excluded_from_bitwise_contract_by_dtype(self, pdf1d_rat):
-        # Not a parity failure — a visible type difference.
-        result = PredictionPlan(pdf1d_rat, dtype=np.float32).evaluate(
-            space_batch(pdf1d_rat, 10)
-        )
-        assert result.speedup.dtype == np.float32
-        assert batch_predict(space_batch(pdf1d_rat, 10)).speedup.dtype \
-            == np.float64
 
 
 class TestObservability:
@@ -398,9 +288,8 @@ class TestPlanCache:
         cache = PlanCache()
         a = cache.get(pdf1d_rat)
         b = cache.get(pdf2d_rat)
-        c = cache.get(pdf1d_rat, dtype=np.float32)
-        assert a is not b and a is not c and b is not c
-        assert len(cache) == 3
+        assert a is not b
+        assert len(cache) == 2
 
     def test_lru_eviction(self, pdf1d_rat, pdf2d_rat, md_rat):
         cache = PlanCache(maxsize=2)
@@ -427,8 +316,3 @@ class TestPlanCache:
         before = compiles.value
         shared_plan(pdf1d_rat)
         assert compiles.value == before  # cache hit: no new compile
-
-    def test_compile_plan_helper(self, pdf1d_rat):
-        plan = compile_plan(pdf1d_rat, capacity=32, tile=DEFAULT_TILE)
-        assert plan.base is pdf1d_rat
-        assert plan.capacity == 32

@@ -1,4 +1,4 @@
-"""Executor tests: chunked explore, process pool, cache path, map_designs."""
+"""Executor tests: chunked explore, process pool, map_designs."""
 
 import dataclasses
 
@@ -11,7 +11,6 @@ from repro.errors import ExplorationError, ParameterError
 from repro.explore import (
     DesignSpace,
     MapResult,
-    PredictionCache,
     RetryPolicy,
     explore,
     map_designs,
@@ -93,33 +92,6 @@ class TestExplore:
         assert gauge == pytest.approx(result.points_per_sec, rel=1e-6)
 
 
-class TestExploreCached:
-    def test_cache_hits_on_second_run(self, pdf1d_rat):
-        space = _space(pdf1d_rat, 16)
-        cache = PredictionCache()
-        first = explore(space, cache=cache)
-        assert (first.cache_hits, first.cache_misses) == (0, 16)
-        second = explore(space, cache=cache)
-        assert (second.cache_hits, second.cache_misses) == (16, 0)
-        assert (first.prediction.t_rc == second.prediction.t_rc).all()
-
-    def test_cached_matches_uncached(self, pdf1d_rat):
-        space = _space(pdf1d_rat, 10)
-        plain = explore(space)
-        cached = explore(space, cache=PredictionCache())
-        assert np.allclose(
-            plain.prediction.speedup, cached.prediction.speedup, rtol=1e-12
-        )
-
-    def test_partial_overlap(self, pdf1d_rat):
-        cache = PredictionCache()
-        explore(DesignSpace.grid(pdf1d_rat, clock_mhz=[75, 100]), cache=cache)
-        result = explore(
-            DesignSpace.grid(pdf1d_rat, clock_mhz=[100, 150]), cache=cache
-        )
-        assert (result.cache_hits, result.cache_misses) == (1, 1)
-
-
 class TestWorkerSemantics:
     def test_workers_zero_means_one_per_core(self, pdf1d_rat):
         space = _space(pdf1d_rat, 18)
@@ -197,13 +169,6 @@ class TestExploreFaultSurface:
         assert len(error.chunk_failures) == 1
         assert error.chunk_failures[0].lo == 0
         assert error.partial is not None
-
-    def test_cache_path_rejects_fault_tolerance_options(self, pdf1d_rat):
-        space = _space(pdf1d_rat, 4)
-        with pytest.raises(ParameterError, match="cache"):
-            explore(space, cache=PredictionCache(), on_error="quarantine")
-        with pytest.raises(ParameterError, match="cache"):
-            explore(space, cache=PredictionCache(), checkpoint="x.jsonl")
 
     def test_unknown_on_error_rejected(self, simple_rat):
         with pytest.raises(ParameterError, match="on_error"):

@@ -220,16 +220,14 @@ class TestRenderHistory:
 
     def test_missing_metric_shows_dash_and_new(self, tmp_path):
         self._record(tmp_path, 1, {})
-        self._record(
-            tmp_path, 2, {"bench.plan.1000000.plan_speedup_ratio": 2.5}
-        )
+        self._record(tmp_path, 2, {"serve.shard_scaling_2x": 1.5})
         lines = render_history(tmp_path).splitlines()
-        (plan_row,) = [
+        (scaling_row,) = [
             line for line in lines
-            if line.startswith("bench.plan.1000000.plan_speedup_ratio")
+            if line.startswith("serve.shard_scaling_2x")
         ]
-        assert "-" in plan_row
-        assert plan_row.rstrip().endswith("new")
+        assert "-" in scaling_row
+        assert scaling_row.rstrip().endswith("new")
 
     def test_lower_is_better_trend_sign(self, tmp_path):
         self._record(tmp_path, 1, {"serve.http_c64_p99_us": 10000.0})

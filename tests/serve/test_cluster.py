@@ -282,14 +282,23 @@ class TestServeSignals:
     @pytest.mark.parametrize("signame", [signal.SIGINT, signal.SIGTERM])
     def test_single_process_signals_drain_exit_zero(self, signame):
         proc, port = _boot_cli([])
+        idle = connect(port)
         try:
             status, _ = http(port, "GET", "/healthz")
+            assert status == 200
+            # A keep-alive connection left idle across the signal must be
+            # closed by the drain, not cancelled at exit.
+            status, _ = request_on(idle, "GET", "/healthz/live")
             assert status == 200
             proc.send_signal(signame)
             out = _wait_drained(proc)
             assert proc.returncode == 0, out
             assert "drained cleanly" in out
+            assert "Traceback" not in out, out
+            assert "Exception in callback" not in out, out
+            assert idle.recv(1) == b""  # the server closed it
         finally:
+            idle.close()
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
