@@ -7,11 +7,11 @@ implemented by :mod:`repro.serve.protocol`: persistent connections,
 
 Graceful drain: on :meth:`RATServer.drain` (wired to SIGTERM/SIGINT by
 :func:`serve`) the listener closes, the app stops admitting new
-predictions, and every connection stops reading: one idling between
-requests closes, and a request already read gets its response with
-``Connection: close``.  The micro-batcher finishes everything already
-queued before the process exits — so a deploy never drops an accepted
-request.
+predictions, and every connection stops reading.  A request fully
+received before the drain gets its response with ``Connection: close``;
+a connection idling between requests, or still receiving one, is
+closed.  The micro-batcher finishes everything already queued before
+the process exits.
 """
 
 from __future__ import annotations
@@ -113,18 +113,14 @@ class RATServer:
         """Stop the listener, drain in-flight work, stop the batcher."""
         self._draining.set()
         if self._server is not None:
+            # No wait_closed(): from Python 3.12.1 it also waits for every
+            # connection to drop, and an idle one drops only once stopped
+            # below.  The handler wait at the end covers the connections.
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
         self.app.draining = True
-        # A handler waiting on its reader (between requests, or for the
-        # rest of one) sees EOF and leaves through the clean-EOF path; a
-        # handler inside app.handle sees it only after answering with
-        # Connection: close.  Reading stops first: a stream rejects data
-        # fed after EOF.
         for reader, writer in self._clients.values():
-            writer.transport.pause_reading()
-            reader.feed_eof()
+            _stop_reading(reader, writer)
         await self.app.wait_idle(self.drain_timeout_s)
         await self.app.shutdown(drain=True)
         # Let the handlers finish: one still running when the event loop
@@ -140,6 +136,8 @@ class RATServer:
         task = asyncio.current_task()
         self._clients[task] = reader, writer
         get_metrics().gauge("serve.connections").set(len(self._clients))
+        if self._draining.is_set():
+            _stop_reading(reader, writer)  # accepted as the drain began
         try:
             await self._connection_loop(reader, writer)
         except (
@@ -211,6 +209,21 @@ class RATServer:
     async def _respond(writer, response, *, keep_alive: bool) -> None:
         writer.write(format_response(response, keep_alive=keep_alive))
         await writer.drain()
+
+
+def _stop_reading(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """End a connection's input at what it has already received.
+
+    A handler waiting on its reader (between requests, or for the rest of
+    one) then sees EOF and returns: cleanly between requests, through the
+    client-went-away path mid-request.  A handler inside ``app.handle``
+    sees it only after answering with ``Connection: close``.  Reading
+    stops first: a stream rejects data fed after EOF.
+    """
+    writer.transport.pause_reading()
+    reader.feed_eof()
 
 
 async def serve(

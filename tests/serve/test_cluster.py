@@ -271,9 +271,11 @@ def _boot_cli(extra_args):
 
 
 def _wait_drained(proc, timeout=30.0):
-    out = proc.stdout.read()
+    # Wait first: reading to EOF has no timeout, so a server that never
+    # drains would wedge the test instead of failing it.  The drain output
+    # is a few lines, far below a pipe's buffer.
     proc.wait(timeout=timeout)
-    return out
+    return proc.stdout.read()
 
 
 class TestServeSignals:

@@ -205,6 +205,26 @@ class TestDrain:
         assert payload["predictions"]["single"]["speedup"] > 0
         assert refused
 
+    def test_connection_accepted_after_drain_began_is_closed(self):
+        # The listener closes only once shutdown() runs, so a connection
+        # can still arrive after drain(); it must stop reading at once
+        # rather than hold the drain for the full timeout.
+        async def body():
+            app, server = await _start_server()
+            server.drain()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                eof = await asyncio.wait_for(reader.read(1), timeout=5.0)
+                writer.close()
+                await writer.wait_closed()
+                return eof
+            finally:
+                await server.shutdown()
+
+        assert asyncio.run(body()) == b""
+
     def test_healthz_reports_draining(self):
         async def body():
             app, server = await _start_server()
