@@ -12,8 +12,8 @@ Submodules
     millions of design points per call (the exploration fast path).
 ``plan``
     Compiled prediction plans: plan-owned, pre-sized result buffers
-    that ``batch``'s kernel evaluates into across calls (the
-    serve/explore steady-state path).
+    that ``batch``'s kernel evaluates into across calls (serve's
+    micro-batcher).
 ``buffering``
     Overlap scenarios of Figure 2 and analytic timeline construction.
 ``worksheet``
@@ -51,7 +51,7 @@ from .params import (
     RATInput,
     SoftwareParams,
 )
-from .plan import PlanCache, PredictionPlan, shared_plan
+from .plan import PredictionPlan
 from .throughput import ThroughputPrediction, predict
 from .worksheet import PerformanceTable, RATWorksheet
 
@@ -70,7 +70,6 @@ __all__ = [
     "LintWarning",
     "OverlapTimeline",
     "PerformanceTable",
-    "PlanCache",
     "PredictionPlan",
     "RATInput",
     "RATWorksheet",
@@ -82,7 +81,6 @@ __all__ = [
     "mark_rows_valid",
     "max_achievable_speedup",
     "predict",
-    "shared_plan",
     "required_alpha",
     "required_clock",
     "required_throughput_proc",

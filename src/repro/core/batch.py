@@ -26,8 +26,9 @@ layer:
 One kernel, :func:`_predict_into`, is the only array evaluator of the
 equations.  It writes into result columns its caller supplies:
 :func:`batch_predict` hands it freshly allocated columns the caller then
-owns, and :class:`~repro.core.plan.PredictionPlan` hands it plan-owned
-buffers it reuses across calls.
+owns, :class:`~repro.core.plan.PredictionPlan` hands it plan-owned
+buffers it reuses across calls, and :func:`repro.explore.explore` hands
+it each chunk's slices of the exploration's result columns.
 
 Validation mirrors the scalar dataclasses' ``__post_init__`` checks but
 runs vectorized; the first offending row is named in the error message.
@@ -110,10 +111,14 @@ DEFAULT_TILE = 8192
 
 
 def _as_column(name: str, values: object, n: int) -> np.ndarray:
-    """Coerce one field to a float64 column of length ``n``."""
+    """Coerce one field to a float64 column of length ``n``.
+
+    A scalar becomes a read-only zero-stride view of its one value, so a
+    constant column costs no memory and no fill pass.
+    """
     array = np.asarray(values, dtype=np.float64)
     if array.ndim == 0:
-        array = np.full(n, float(array))
+        array = np.broadcast_to(array, (n,))
     if array.ndim != 1:
         raise ParameterError(
             f"{name} must be scalar or 1-D, got shape {array.shape}"
@@ -123,11 +128,6 @@ def _as_column(name: str, values: object, n: int) -> np.ndarray:
             f"{name} has {array.shape[0]} rows, expected {n}"
         )
     return array
-
-
-def _first_bad(mask: np.ndarray) -> int:
-    """Index of the first row violating a validation mask."""
-    return int(np.argmax(mask))
 
 
 def _bad_positive(column: np.ndarray) -> np.ndarray:
@@ -187,6 +187,25 @@ class RowViolation:
     message: str
 
 
+def _rule_masks(
+    batch: "BatchInput",
+) -> Iterator[tuple[str, np.ndarray, np.ndarray, Callable]]:
+    """``(name, column, bad, describe)`` for each rule pass ``batch`` needs.
+
+    A ``broadcast`` column (all rows equal) is checked on its first row,
+    so its ``bad`` mask has one entry that broadcasts over every row.  A
+    column object two fields share (the ``alpha`` axis writes one array
+    to both alphas) is checked once per rule, under the first field.
+    """
+    seen: set[tuple[int, Callable]] = set()
+    for name, bad_fn, describe in _ROW_RULES:
+        column = getattr(batch, name)
+        if (id(column), bad_fn) not in seen:
+            seen.add((id(column), bad_fn))
+            checked = column[:1] if name in batch.broadcast else column
+            yield name, column, bad_fn(checked), describe
+
+
 def row_violations(batch: "BatchInput") -> list[RowViolation]:
     """Per-row validation diagnostics, sorted by row index.
 
@@ -197,9 +216,8 @@ def row_violations(batch: "BatchInput") -> list[RowViolation]:
     """
     claimed = np.zeros(len(batch), dtype=bool)
     found: list[RowViolation] = []
-    for name, bad_fn, describe in _ROW_RULES:
-        column = getattr(batch, name)
-        bad = bad_fn(column) & ~claimed
+    for name, column, bad, describe in _rule_masks(batch):
+        bad = bad & ~claimed
         if bad.any():
             for i in np.flatnonzero(bad):
                 value = float(column[i])
@@ -214,8 +232,8 @@ def row_violations(batch: "BatchInput") -> list[RowViolation]:
 def valid_row_mask(batch: "BatchInput") -> np.ndarray:
     """Boolean column: True where the row passes every validation rule."""
     ok = np.ones(len(batch), dtype=bool)
-    for name, bad_fn, _ in _ROW_RULES:
-        ok &= ~bad_fn(getattr(batch, name))
+    for _, _, bad, _ in _rule_masks(batch):
+        ok &= ~bad
     return ok
 
 
@@ -239,13 +257,14 @@ class BatchInput:
 
     ``broadcast`` names columns whose rows are all the identical value —
     staging metadata the kernel exploits by reading such a column once
-    instead of streaming it per row.  It is a *trusted invariant*,
-    maintained automatically by :meth:`from_base` (the only constructor
-    that knows a column was broadcast from one scalar) and preserved by
+    instead of streaming it per row, and validation by checking its
+    first row only.  It is a *trusted invariant*, maintained
+    automatically by :meth:`from_base` (the only constructor that knows
+    a column was broadcast from one scalar) and preserved by
     slicing/``take``; callers constructing batches directly must list a
     column only if every row truly holds one value, or every row is
-    evaluated with the column's first value and results silently
-    diverge from scalar ``predict``.
+    validated and evaluated with the column's first value and results
+    silently diverge from scalar ``predict``.
     """
 
     elements_in: np.ndarray
@@ -265,8 +284,7 @@ class BatchInput:
     checked: bool = field(init=False, default=True)
 
     def __post_init__(self, check: bool) -> None:
-        first = np.asarray(self.elements_in, dtype=np.float64).ravel()
-        n = first.shape[0]
+        n = np.asarray(self.elements_in, dtype=np.float64).size
         for name in _COLUMNS:
             column = _as_column(name, getattr(self, name), n)
             object.__setattr__(self, name, column)
@@ -288,11 +306,9 @@ class BatchInput:
 
     def _validate(self) -> None:
         """Vectorized mirror of the scalar dataclasses' validation."""
-        for name, bad_fn, describe in _ROW_RULES:
-            column = getattr(self, name)
-            bad = bad_fn(column)
+        for name, column, bad, describe in _rule_masks(self):
             if bad.any():
-                i = _first_bad(bad)
+                i = int(np.argmax(bad))
                 raise ParameterError(
                     f"{describe(name, float(column[i]))} at row {i}"
                 )
@@ -463,14 +479,20 @@ class BatchInput:
         return sliced
 
     def take(self, indices: np.ndarray, *, check: bool | None = None) -> "BatchInput":
-        """Select an arbitrary row subset (fancy indexing, copies).
+        """Select the rows at ``indices``.
 
-        ``check`` defaults to the batch's own ``checked`` state; the
-        quarantine path passes ``check=True`` when it selects the rows
-        that passed :func:`valid_row_mask` out of an unchecked batch.
+        Streamed columns are gathered (copies); broadcast columns stay
+        zero-stride views of their one value.  ``check`` defaults to the
+        batch's own ``checked`` state; the quarantine path passes
+        ``check=True`` when it selects the rows that passed
+        :func:`valid_row_mask` out of an unchecked batch.
         """
         indices = np.asarray(indices)
-        kwargs = {name: getattr(self, name)[indices] for name in _COLUMNS}
+        kwargs = {
+            name: np.broadcast_to(getattr(self, name)[:1], (len(indices),))
+            if name in self.broadcast else getattr(self, name)[indices]
+            for name in _COLUMNS
+        }
         names = (
             tuple(self.names[int(i)] for i in indices) if self.names else ()
         )

@@ -2,10 +2,13 @@
 
 :func:`explore` is the throughput-prediction fast path: it converts a
 :class:`~repro.explore.space.DesignSpace` to one struct-of-arrays batch,
-splits it into fixed-size chunks, and runs each chunk through
-the base worksheet's :func:`~repro.core.plan.shared_plan` — serially by
-default, or across a ``ProcessPoolExecutor`` when ``workers > 1``
-(``workers=0`` means "one per CPU core").
+allocates the call's eight result columns once, and splits the batch
+into fixed-size chunks.  Serially (the default), each chunk runs the
+Eq (1)-(11) kernel straight into its slice of those columns, so results
+are neither copied out per chunk nor concatenated.  With ``workers > 1``
+(``workers=0`` means "one per CPU core") chunks run across a
+``ProcessPoolExecutor`` whose workers return ``batch_predict`` columns,
+which the parent copies into the same slices.
 
 :func:`map_designs` is the escape hatch for evaluators the batch engine
 cannot vectorize — event-driven hardware simulation, goal-seek solvers,
@@ -30,10 +33,12 @@ Fault tolerance (see :mod:`repro.explore.runtime` for the machinery):
   :mod:`repro.explore.checkpoint`).
 
 Observability: the whole call runs under an ``explore.run`` span; every
-chunk records an ``explore.chunk`` span in the *parent* process —
-worker-evaluated chunks return their elapsed time and the parent
+chunk records an ``explore.chunk`` span in the *parent* process.  A
+chunk :func:`explore` evaluates in-process gets a real span around its
+kernel call.  Chunks evaluated in worker processes, and every
+:func:`map_designs` chunk, return their elapsed time and the parent
 re-emits a synthetic span carrying it (``synthetic: True``), so pool
-runs are no longer blind.  ``explore.points`` counts evaluated designs,
+runs are not blind.  ``explore.points`` counts evaluated designs,
 ``explore.chunk_seconds`` aggregates per-chunk latency,
 ``explore.retries`` / ``explore.failed_points`` / ``explore.failed_chunks``
 / ``explore.resumed_chunks`` track fault handling, and the
@@ -50,10 +55,16 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.batch import BatchInput, BatchPrediction, mark_rows_valid
+from ..core.batch import (
+    _RESULT_COLUMNS,
+    BatchInput,
+    BatchPrediction,
+    _predict_into,
+    batch_predict,
+    mark_rows_valid,
+)
 from ..core.buffering import BufferingMode
 from ..core.params import RATInput
-from ..core.plan import shared_plan
 from ..core.throughput import ThroughputPrediction
 from ..errors import ExplorationError, ParameterError
 from ..obs import get_metrics, get_tracer
@@ -85,19 +96,6 @@ DEFAULT_CHUNK_SIZE = 65536
 #: sub-resolution runs (a tiny space on a fast machine) clamp to the
 #: timer's resolution instead of dropping the sample entirely.
 _MIN_ELAPSED_S = time.get_clock_info("perf_counter").resolution or 1e-9
-
-#: Scalar result attributes copied between row and column layouts.
-_RESULT_FIELDS = (
-    "t_input",
-    "t_output",
-    "t_comm",
-    "t_comp",
-    "t_rc",
-    "speedup",
-    "util_comp",
-    "util_comm",
-)
-
 
 @dataclass(frozen=True, eq=False)
 class ExplorationResult:
@@ -197,35 +195,28 @@ def _predict_chunk(
     chunk: BatchInput,
     mode: BufferingMode,
     trace: dict | None = None,
-    plan_key: RATInput | None = None,
 ) -> tuple[float, tuple[np.ndarray, ...]]:
     """Worker-side chunk evaluation (top level so it pickles).
 
-    Returns ``(elapsed_seconds, result_columns)`` so the parent can
-    re-emit per-chunk observability for pool-evaluated chunks.
+    Returns ``(elapsed_seconds, result_columns)``: the parent copies the
+    columns into the chunk's slices of its result and re-emits
+    per-chunk observability for the worker.
 
     ``trace`` is the parent's serialized
     :class:`~repro.obs.propagation.TraceContext` (contextvars do not
     cross the ``ProcessPoolExecutor`` boundary); activating it in the
     worker correlates any worker-side structured logs with the
     originating request's trace.
-
-    ``plan_key`` is the design space's base worksheet, shipped through
-    the chunk envelope the same way: it keys the worker-process-wide
-    :func:`~repro.core.plan.shared_plan` cache so every chunk of the
-    same exploration reuses one compiled plan per process.  Results are
-    copied out of the plan's buffers (``copy=True``) because the parent
-    retains chunk columns across the run.
     """
     token = (
         activate(TraceContext.from_dict(trace)) if trace is not None else None
     )
     try:
         started = time.perf_counter()
-        prediction = shared_plan(plan_key).evaluate(chunk, mode, copy=True)
+        prediction = batch_predict(chunk, mode)
         elapsed = time.perf_counter() - started
         return elapsed, tuple(
-            getattr(prediction, name) for name in _RESULT_FIELDS
+            getattr(prediction, name) for name in _RESULT_COLUMNS
         )
     finally:
         if token is not None:
@@ -253,19 +244,17 @@ def _map_chunk(bounds: tuple[int, int]) -> tuple[float, list[Any]]:
     return time.perf_counter() - started, results
 
 
-def _emit_chunk_observability(
-    index: int, size: int, elapsed: float, *, synthetic: bool
-) -> None:
-    """Parent-side chunk span + latency metric (real or re-emitted).
+def _emit_chunk_observability(index: int, size: int, elapsed: float) -> None:
+    """Parent-side chunk span + latency metric for a re-emitted chunk.
 
     Chunks evaluated in worker processes cannot record spans in the
     parent's tracer, so the worker returns its elapsed time and the
     parent emits a *synthetic* ``explore.chunk`` span carrying it — the
     span's own duration is ~0; read ``elapsed_s`` for the real timing.
     """
-    attributes = {"chunk": index, "size": size, "elapsed_s": elapsed}
-    if synthetic:
-        attributes["synthetic"] = True
+    attributes = {
+        "chunk": index, "size": size, "elapsed_s": elapsed, "synthetic": True
+    }
     with get_tracer().span("explore.chunk", attributes, "explore"):
         pass
     get_metrics().histogram("explore.chunk_seconds").observe(elapsed)
@@ -315,21 +304,29 @@ class _ChunkedRun:
         """Fill slots from a resumed journal's completed payloads."""
         for index, payload in completed.items():
             if 0 <= index < len(self.bounds):
-                self.slots[index] = self.decode(payload)
+                self._store(index, self.decode(payload))
                 self.resumed += 1
         self.todo = [i for i in range(len(self.bounds)) if self.slots[i] is None]
         if self.resumed:
             get_metrics().counter("explore.resumed_chunks").inc(self.resumed)
 
+    def _store(self, index: int, value: Any) -> None:
+        """Keep chunk ``index``'s result."""
+        self.slots[index] = value
+
     def _on_result(self, position: int, result: tuple[float, Any]) -> None:
         index = self.todo[position]
         elapsed, value = result
-        self.slots[index] = value
-        lo, hi = self.bounds[index]
-        _emit_chunk_observability(index, hi - lo, elapsed, synthetic=True)
+        if value is not None:
+            # Not run by _ColumnRun.evaluate (which returns None and
+            # spans the chunk itself): re-emit the chunk's span.
+            lo, hi = self.bounds[index]
+            _emit_chunk_observability(index, hi - lo, elapsed)
+        self._store(index, value)
         if self.journal is not None:
+            payload = self.encode(self.slots[index])
             self.journal.append(
-                index, {"elapsed": elapsed, "payload": self.encode(value)}
+                index, {"elapsed": elapsed, "payload": payload}
             )
 
     def _remap(self, failures: Sequence[ChunkFailure]) -> tuple[ChunkFailure, ...]:
@@ -377,6 +374,55 @@ class _ChunkedRun:
         return chunk_failures, report.retries, report.degraded
 
 
+class _ColumnRun(_ChunkedRun):
+    """:func:`explore`'s chunk bookkeeping: results land in column slices.
+
+    ``columns`` are the call's eight result columns, one row per
+    evaluated point.  :meth:`evaluate` runs a chunk in-process straight
+    into its slices; pool-worker results and journal replays are copied
+    into the same slices, and a retried chunk overwrites its own.
+    """
+
+    def __init__(
+        self, bounds: list[tuple[int, int]], journal: ChunkJournal | None,
+        columns: Sequence[np.ndarray],
+    ) -> None:
+        super().__init__(bounds, journal, _decode_columns, _encode_columns)
+        self.columns = columns
+
+    def _slices(self, index: int) -> tuple[np.ndarray, ...]:
+        lo, hi = self.bounds[index]
+        return tuple(column[lo:hi] for column in self.columns)
+
+    def _store(self, index: int, value: Any) -> None:
+        views = self._slices(index)
+        if value is not None:
+            for view, part in zip(views, value):
+                view[...] = part
+        self.slots[index] = views
+
+    def evaluate(
+        self, task: tuple[int, BatchInput], *, mode: BufferingMode,
+        chunk_fn: Callable | None,
+    ) -> tuple[float, None]:
+        """Evaluate an ``(index, chunk)`` task into the chunk's slices."""
+        index, chunk = task
+        views = self._slices(index)
+        with get_tracer().span(
+            "explore.chunk", {"chunk": index, "size": len(chunk)}, "explore"
+        ) as span:
+            started = time.perf_counter()
+            if chunk_fn is None:
+                _predict_into(chunk, mode, views)
+            else:
+                for view, part in zip(views, chunk_fn(chunk, mode)[1]):
+                    view[...] = part
+            elapsed = time.perf_counter() - started
+            span.set_attribute("elapsed_s", elapsed)
+        get_metrics().histogram("explore.chunk_seconds").observe(elapsed)
+        return elapsed, None
+
+
 def _open_journal(
     checkpoint: str | os.PathLike | None,
     resume: bool,
@@ -406,20 +452,6 @@ def _decode_columns(payload: dict) -> tuple[np.ndarray, ...]:
         np.asarray(column, dtype=np.float64)
         for column in payload["payload"]
     )
-
-
-def _scatter(
-    n: int,
-    valid_indices: np.ndarray,
-    columns: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Spread evaluated-row columns into NaN-initialised full columns."""
-    full = {}
-    for name, column in columns.items():
-        out = np.full(n, np.nan)
-        out[valid_indices] = column
-        full[name] = out
-    return full
 
 
 def explore(
@@ -468,7 +500,7 @@ def explore(
         ):
             point_failures: tuple[PointFailure, ...] = ()
             batch = space.to_batch(check=(on_error == "fail"))
-            valid_indices = np.arange(n)
+            valid_indices: np.ndarray | None = None
             eval_batch = batch
             if on_error != "fail":
                 valid_indices, point_failures = quarantine_rows(
@@ -485,42 +517,40 @@ def explore(
                     eval_batch = mark_rows_valid(batch)
             m = len(eval_batch)
             bounds = _chunk_bounds(m, chunk_size)
+            columns = tuple(np.empty(m) for _ in _RESULT_COLUMNS)
             journal, completed = _open_journal(
                 checkpoint, resume,
                 lambda: run_key(space, mode, chunk_size, on_error),
             )
-            runner = _ChunkedRun(
-                bounds, journal, _decode_columns, _encode_columns
-            )
+            runner = _ColumnRun(bounds, journal, columns)
             runner.replay(completed)
-            fn = partial(chunk_fn or _predict_chunk, mode=mode)
-            ctx = current_context()
-            if chunk_fn is None:
-                # Ship the base worksheet through the chunk envelope so
-                # each worker process compiles one plan for this space
-                # and reuses it across its chunks; the trace context
-                # rides along the same way (read inside the explore.run
-                # span, so the shipped context is narrowed to that
-                # span's identity and worker-side chunks parent under
-                # it).
-                envelope: dict[str, object] = {"plan_key": space.base}
-                if ctx is not None:
-                    envelope["trace"] = ctx.to_dict()
-                fn = partial(_predict_chunk, mode=mode, **envelope)
-            tasks = [eval_batch[lo:hi] for lo, hi in
-                     (bounds[i] for i in runner.todo)]
+            chunks = [(i, eval_batch[slice(*bounds[i])]) for i in runner.todo]
+            if pool_workers <= 1 or len(chunks) <= 1:
+                workers = 1
+                tasks: list[Any] = chunks
+                fn = partial(runner.evaluate, mode=mode, chunk_fn=chunk_fn)
+            else:
+                # A pool task carries its chunk, not its destination
+                # slices (they would be pickled), plus the trace context
+                # read inside explore.run so worker chunks parent there.
+                workers = pool_workers
+                tasks = [chunk for _, chunk in chunks]
+                ctx = current_context()
+                fn = partial(chunk_fn, mode=mode) if chunk_fn else partial(
+                    _predict_chunk, mode=mode, trace=ctx and ctx.to_dict()
+                )
             try:
                 chunk_failures, retries, degraded = runner.run(
                     tasks, fn,
-                    workers=pool_workers, policy=policy, on_error=on_error,
+                    workers=workers, policy=policy, on_error=on_error,
                 )
             except ExplorationError as exc:
                 exc.failures = point_failures
                 raise
             resumed = runner.resumed
             prediction, indices = _assemble_exploration(
-                batch, mode, n, valid_indices, runner.slots,
-                bounds, chunk_failures, on_error,
+                batch, mode, n, valid_indices, columns, chunk_failures,
+                on_error,
             )
             failed_rows = len(point_failures) + sum(
                 failure.hi - failure.lo for failure in chunk_failures
@@ -553,46 +583,40 @@ def _assemble_exploration(
     batch: BatchInput,
     mode: BufferingMode,
     n: int,
-    valid_indices: np.ndarray,
-    slots: Sequence[tuple[np.ndarray, ...] | None],
-    bounds: Sequence[tuple[int, int]],
+    valid_indices: np.ndarray | None,
+    columns: Sequence[np.ndarray],
     chunk_failures: Sequence[ChunkFailure],
     on_error: str,
 ) -> tuple[BatchPrediction, np.ndarray | None]:
-    """Stitch chunk columns (+ failures) into the final prediction."""
-    m = bounds[-1][1] if bounds else 0
-    failed = {failure.index for failure in chunk_failures}
-    parts = []
-    for i, part in enumerate(slots):
-        if part is None:
-            lo, hi = bounds[i]
-            part = tuple(
-                np.full(hi - lo, np.nan) for _ in _RESULT_FIELDS
-            )
-            assert i in failed or on_error != "fail"
-        parts.append(part)
-    columns = {
-        name: (
-            np.concatenate([part[j] for part in parts])
-            if parts
-            else np.empty(0)
-        )
-        for j, name in enumerate(_RESULT_FIELDS)
-    }
-    quarantined_points = len(valid_indices) != n
+    """Finish the evaluated columns into the final prediction.
+
+    ``columns`` hold one row per evaluated point; ``valid_indices``
+    (``None`` under ``on_error="fail"``, where every point is evaluated)
+    maps them to design indices.  Failed chunks' rows are dropped under
+    ``"skip"`` and NaN-filled under ``"quarantine"``, where quarantined
+    points are scattered back as NaN rows too.
+    """
     if on_error == "skip":
-        # Drop rows of failed chunks entirely; surviving row i maps to
-        # design indices[i] of the space.
-        keep = np.ones(m, dtype=bool)
-        for failure in chunk_failures:
-            keep[failure.lo:failure.hi] = False
-        indices = valid_indices[keep]
-        columns = {name: column[keep] for name, column in columns.items()}
-        result_batch = batch.take(indices, check=True)
-        return BatchPrediction(batch=result_batch, mode=mode, **columns), indices
-    if quarantined_points or (failed and on_error == "quarantine"):
-        columns = _scatter(n, valid_indices, columns)
-    return BatchPrediction(batch=batch, mode=mode, **columns), None
+        # Surviving row i maps to design indices[i] of the space.
+        indices = valid_indices
+        if chunk_failures:
+            keep = np.ones(len(indices), dtype=bool)
+            for failure in chunk_failures:
+                keep[failure.lo:failure.hi] = False
+            indices = indices[keep]
+            columns = [column[keep] for column in columns]
+        # Every kept row passed quarantine_rows: no second rule pass.
+        result_batch = mark_rows_valid(batch.take(indices, check=False))
+        return BatchPrediction(result_batch, mode, *columns), indices
+    for failure in chunk_failures:
+        for column in columns:
+            column[failure.lo:failure.hi] = np.nan
+    if valid_indices is not None and len(valid_indices) != n:
+        full = [np.full(n, np.nan) for _ in columns]
+        for out, column in zip(full, columns):
+            out[valid_indices] = column
+        columns = full
+    return BatchPrediction(batch, mode, *columns), None
 
 
 def map_designs(

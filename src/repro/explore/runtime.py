@@ -455,6 +455,11 @@ def run_chunks(
         record_failure(index, exc, reason)
         return False
 
+    def rerun(indices: Sequence[int]) -> None:
+        """Count chunks a torn-down pool lost: re-run, but not charged."""
+        report.retries += len(indices)
+        metrics.counter("explore.retries").inc(len(indices))
+
     def submit(index: int) -> bool:
         try:
             future = pool.submit(fn, tasks[index])
@@ -503,6 +508,7 @@ def run_chunks(
             # Unknown culprit: probe each involved chunk in isolation
             # without charging anyone's retry budget yet.
             suspects.extend(involved)
+            rerun(involved)
         if consecutive_breaks >= _MAX_CONSECUTIVE_POOL_BREAKS:
             drain_to_serial()
             return
@@ -569,6 +575,7 @@ def run_chunks(
                             suspects.append(index)
                     else:
                         pending.appendleft(index)
+                rerun([index for index in involved if index not in hung])
                 if (
                     consecutive_breaks >= _MAX_CONSECUTIVE_POOL_BREAKS
                     or not pool.respawn()

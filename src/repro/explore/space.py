@@ -2,7 +2,8 @@
 
 A :class:`DesignSpace` is a base :class:`~repro.core.params.RATInput`
 plus an ``(n, k)`` matrix of axis values — one column per named axis, one
-row per candidate design.  Three constructors cover the common sampling
+row per candidate design, stored column-major so each axis column is
+contiguous.  Three constructors cover the common sampling
 plans: :meth:`DesignSpace.grid` (full cross product),
 :meth:`DesignSpace.random` (independent uniform draws), and
 :meth:`DesignSpace.explicit` (a hand-picked point list).
@@ -11,8 +12,7 @@ Every axis is defined twice, consistently:
 
 * a **scalar edit** reusing the worksheet's ``with_*`` methods, so
   :meth:`DesignSpace.design` yields exactly the ``RATInput`` a hand
-  written what-if loop would construct (this is also what the LRU
-  prediction cache keys on); and
+  written what-if loop would construct; and
 * a **column expansion** mapping the axis values to SI-unit
   :class:`~repro.core.batch.BatchInput` columns, so
   :meth:`DesignSpace.to_batch` can feed the vectorized engine without
@@ -24,6 +24,7 @@ keeping the scalar and batch paths numerically identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -123,8 +124,11 @@ class DesignSpace:
     """``n`` candidate designs spanned by named parameter axes.
 
     ``values`` is an ``(n, k)`` float matrix; column ``j`` holds the
-    value of axis ``axes[j]`` for each design point.  Construct through
-    :meth:`grid`, :meth:`random`, or :meth:`explicit`.
+    value of axis ``axes[j]`` for each design point.  It is stored
+    column-major (converted once on construction if given otherwise),
+    so :meth:`to_batch` hands each axis column to the batch engine as a
+    contiguous view.  Construct through :meth:`grid`, :meth:`random`,
+    or :meth:`explicit`.
     """
 
     base: RATInput
@@ -148,7 +152,7 @@ class DesignSpace:
             )
         if matrix.shape[0] < 1:
             raise ParameterError("a design space needs at least one point")
-        object.__setattr__(self, "values", matrix)
+        object.__setattr__(self, "values", np.asfortranarray(matrix))
 
     # ---- constructors ------------------------------------------------------
 
@@ -170,8 +174,13 @@ class DesignSpace:
         for name, column in zip(names, columns):
             if column.ndim != 1 or column.shape[0] < 1:
                 raise ParameterError(f"axis {name!r} needs a 1-D value list")
-        mesh = np.meshgrid(*columns, indexing="ij")
-        matrix = np.stack([m.ravel() for m in mesh], axis=1)
+        shape = tuple(len(column) for column in columns)
+        matrix = np.empty((math.prod(shape), len(names)), order="F")
+        # Fill each contiguous column, viewed as the grid's index space,
+        # by broadcasting its axis's values along their own dimension.
+        mesh = np.meshgrid(*columns, indexing="ij", sparse=True)
+        for j, axis in enumerate(mesh):
+            matrix[:, j].reshape(shape)[...] = axis
         return cls(base=base, axes=names, values=matrix)
 
     @classmethod
@@ -246,10 +255,11 @@ class DesignSpace:
         """The whole space as one :class:`BatchInput` (fast path).
 
         Applies each axis's column expansion to the base worksheet; no
-        per-row ``RATInput`` objects are created.  ``check=False``
-        defers row validation so the fault-tolerant executor can
-        quarantine invalid design points instead of losing the space to
-        its first bad row.
+        per-row ``RATInput`` objects are created, and axes that need no
+        unit conversion pass their value column on without a copy.
+        ``check=False`` defers row validation so the fault-tolerant
+        executor can quarantine invalid design points instead of losing
+        the space to its first bad row.
         """
         overrides: dict[str, np.ndarray] = {}
         for j, name in enumerate(self.axes):

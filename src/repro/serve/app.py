@@ -58,7 +58,12 @@ from typing import Mapping
 import numpy as np
 
 from ..apps.registry import get_case_study
-from ..core.batch import BatchInput, batch_predict, row_violations
+from ..core.batch import (
+    BatchInput,
+    batch_predict,
+    mark_rows_valid,
+    row_violations,
+)
 from ..core.buffering import BufferingMode
 from ..core.params import RATInput
 from ..errors import (
@@ -475,8 +480,11 @@ class RATApp:
         keep = [i for i in range(len(rows)) if i not in bad]
         if not keep:
             return 0
+        # row_violations just vetted every kept row: mark them valid
+        # instead of paying another rule pass per take and per mode.
         if bad:
-            staged = staged.take(np.asarray(keep, dtype=np.intp), check=True)
+            staged = staged.take(np.asarray(keep, dtype=np.intp), check=False)
+        mark_rows_valid(staged)
         predictions = {
             mode: batch_predict(staged, mode) for mode in modes
         }

@@ -141,3 +141,21 @@ def assert_matches_scalar(batch, mode, *results, context=""):
                 assert columns[name][i] == expected, (
                     f"{name} row {i} diverged from scalar predict {context}"
                 )
+
+
+def assert_explore_rows_match_scalar(result, rows, context=""):
+    """Prediction rows ``rows`` of an ``explore()`` result equal scalar
+    ``predict()`` of their designs exactly (every result column).
+
+    Under ``on_error="skip"`` prediction row ``i`` is design
+    ``result.indices[i]``; otherwise it is design ``i``.
+    """
+    from repro.core.batch import BatchPrediction
+
+    rows = np.asarray(rows, dtype=np.intp)
+    designs = rows if result.indices is None else result.indices[rows]
+    batch = result.space.to_batch(check=False).take(designs)
+    picked = BatchPrediction(batch, result.mode, *(
+        getattr(result.prediction, name)[rows] for name in RESULT_COLUMNS
+    ))
+    assert_matches_scalar(batch, result.mode, picked, context=context)

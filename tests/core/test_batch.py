@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import BatchInput, batch_predict, mark_rows_valid
+from repro.core.batch import (
+    BatchInput,
+    batch_predict,
+    mark_rows_valid,
+    row_violations,
+    valid_row_mask,
+)
 from repro.core.buffering import BufferingMode
+from repro.core.params import fraction_violation
 from repro.core.throughput import predict
 from repro.errors import ParameterError
 from repro.obs import get_metrics
@@ -198,6 +205,55 @@ class TestBroadcastMetadata:
         batch = BatchInput.from_base(simple_rat, 20)
         taken = batch.take(np.array([1, 5, 7], dtype=np.intp))
         assert taken.broadcast == batch.broadcast
+
+    def test_constant_columns_are_zero_stride_views(self, simple_rat):
+        clocks = np.linspace(5e7, 3e8, 10)
+        batch = BatchInput.from_base(
+            simple_rat, 10, {"clock_hz": clocks, "alpha_write": 0.5}
+        )
+        for name in batch.broadcast:
+            column = getattr(batch, name)
+            assert column.strides == (0,), name
+            assert not column.flags.writeable, name
+        assert batch.clock_hz is clocks  # an override column is not copied
+        taken = batch.take(np.array([1, 5, 7], dtype=np.intp))
+        assert taken.t_soft.strides == (0,)
+        assert taken.clock_hz.tolist() == clocks[[1, 5, 7]].tolist()
+
+    def test_invalid_scalar_override_diagnostics(self, simple_rat):
+        # A broadcast column is checked on its first row, but the
+        # diagnostics read exactly as when every row was checked.
+        expected = fraction_violation("alpha_write", 1.5)
+        with pytest.raises(ParameterError) as excinfo:
+            BatchInput.from_base(simple_rat, 5, {"alpha_write": 1.5})
+        assert str(excinfo.value) == f"{expected} at row 0"
+        staged = BatchInput.from_base(
+            simple_rat, 5, {"alpha_write": 1.5}, check=False
+        )
+        violations = row_violations(staged)
+        assert [v.row for v in violations] == [0, 1, 2, 3, 4]
+        assert {(v.column, v.value, v.message) for v in violations} == {
+            ("alpha_write", 1.5, expected)
+        }
+        assert not valid_row_mask(staged).any()
+
+    def test_shared_column_reported_once_per_row(self, simple_rat):
+        # The alpha axis writes one array to both alpha fields.
+        alphas = np.array([0.5, 1.5, 0.25, 0.0])
+        staged = BatchInput.from_base(
+            simple_rat, 4, {"alpha_write": alphas, "alpha_read": alphas},
+            check=False,
+        )
+        assert staged.alpha_write is staged.alpha_read
+        violations = row_violations(staged)
+        assert [(v.row, v.column) for v in violations] == [
+            (1, "alpha_write"), (3, "alpha_write"),
+        ]
+        assert valid_row_mask(staged).tolist() == [True, False, True, False]
+        with pytest.raises(ParameterError, match="alpha_write.*at row 1"):
+            BatchInput.from_base(
+                simple_rat, 4, {"alpha_write": alphas, "alpha_read": alphas}
+            )
 
     def test_unknown_broadcast_name_rejected(self, simple_rat):
         batch = BatchInput.from_base(simple_rat, 4)

@@ -1,4 +1,4 @@
-"""PredictionPlan tests: scalar parity, buffers, caching.
+"""PredictionPlan tests: scalar parity, buffers, observability.
 
 The plan's contract is that reusing buffers changes *cost*, never
 *bits*: every result column must be IEEE-754-identical to scalar
@@ -25,7 +25,7 @@ from repro.core.batch import (
     row_violations,
 )
 from repro.core.buffering import BufferingMode
-from repro.core.plan import PlanCache, PredictionPlan, shared_plan
+from repro.core.plan import PredictionPlan
 from repro.core.throughput import predict
 from repro.errors import ParameterError
 from repro.obs import get_metrics
@@ -56,7 +56,7 @@ class TestBitwiseParity:
         batch = space_batch(base, 2 * DEFAULT_TILE + 3)
         assert_matches_scalar(
             batch, mode,
-            PredictionPlan(base).evaluate(batch, mode),
+            PredictionPlan().evaluate(batch, mode),
             batch_predict(batch, mode),
             context=f"({name}, {mode.value})",
         )
@@ -74,7 +74,7 @@ class TestBitwiseParity:
 
     def test_slices_of_a_batch(self, pdf1d_rat):
         batch = space_batch(pdf1d_rat, 1000)
-        plan = PredictionPlan(pdf1d_rat)
+        plan = PredictionPlan()
         for sliced in (batch[:10], batch[100:200], batch[::7]):
             for mode in MODES:
                 assert_matches_scalar(sliced, mode, plan.evaluate(sliced, mode))
@@ -109,7 +109,7 @@ class TestBitwiseParity:
             base, 100, {"clock_hz": np.linspace(5e7, 3e8, 100)}
         )
         for mode in MODES:
-            result = PredictionPlan(base).evaluate(batch, mode)
+            result = PredictionPlan().evaluate(batch, mode)
             assert np.all(result.t_output == 0.0)
             assert_matches_scalar(batch, mode, result)
 
@@ -179,7 +179,7 @@ class TestQuarantinePath:
 
 class TestBuffers:
     def test_capacity_regrowth_preserves_results(self, pdf1d_rat):
-        plan = PredictionPlan(pdf1d_rat, capacity=8)
+        plan = PredictionPlan(capacity=8)
         assert plan.capacity == 8
         assert plan.grows == 0
         for n in (4, 8, 9, 100, 3000):
@@ -190,7 +190,7 @@ class TestBuffers:
         assert plan.grows > 0
 
     def test_growth_is_geometric(self, pdf1d_rat):
-        plan = PredictionPlan(pdf1d_rat, capacity=16)
+        plan = PredictionPlan(capacity=16)
         for n in range(17, 40):
             plan.evaluate(space_batch(pdf1d_rat, n))
         # Linear growth would reallocate ~23 times; geometric stays low.
@@ -207,7 +207,7 @@ class TestBuffers:
         assert_matches_scalar(first, SINGLE, plan.evaluate(first))
 
     def test_views_invalidate_but_copies_survive(self, pdf1d_rat):
-        plan = PredictionPlan(pdf1d_rat)
+        plan = PredictionPlan()
         batch = space_batch(pdf1d_rat, 50, seed=1)
         other = space_batch(pdf1d_rat, 50, seed=2)
         viewed = plan.evaluate(batch)
@@ -224,7 +224,7 @@ class TestBuffers:
         # evaluate must not create any new array buffers.
         import tracemalloc
 
-        plan = PredictionPlan(pdf1d_rat, capacity=4096)
+        plan = PredictionPlan(capacity=4096)
         batch = space_batch(pdf1d_rat, 4096)
         plan.evaluate(batch)
         tracemalloc.start()
@@ -246,7 +246,7 @@ class TestValidation:
             PredictionPlan(capacity=-1)
 
     def test_rejects_bad_mode(self, pdf1d_rat):
-        plan = PredictionPlan(pdf1d_rat)
+        plan = PredictionPlan()
         with pytest.raises(ParameterError, match="buffering mode"):
             plan.evaluate(space_batch(pdf1d_rat, 4), "both")
 
@@ -255,12 +255,12 @@ class TestObservability:
     def test_compiles_counter_and_span(self, pdf1d_rat):
         compiles = get_metrics().counter("plan.compiles")
         before = compiles.value
-        PredictionPlan(pdf1d_rat)
+        PredictionPlan()
         assert compiles.value == before + 1
 
     def test_evaluate_metrics_advance(self, pdf1d_rat):
         metrics = get_metrics()
-        plan = PredictionPlan(pdf1d_rat)
+        plan = PredictionPlan()
         evaluates = metrics.counter("plan.evaluates").value
         points = metrics.counter("plan.points").value
         plan.evaluate(space_batch(pdf1d_rat, 123))
@@ -271,48 +271,6 @@ class TestObservability:
     def test_buffer_grow_counter(self, pdf1d_rat):
         metrics = get_metrics()
         before = metrics.counter("plan.buffer_grows").value
-        plan = PredictionPlan(pdf1d_rat, capacity=4)
+        plan = PredictionPlan(capacity=4)
         plan.evaluate(space_batch(pdf1d_rat, 64))
         assert metrics.counter("plan.buffer_grows").value == before + 1
-
-
-class TestPlanCache:
-    def test_hit_returns_same_plan(self, pdf1d_rat):
-        cache = PlanCache()
-        first = cache.get(pdf1d_rat)
-        assert cache.get(pdf1d_rat) is first
-        assert len(cache) == 1
-
-    def test_distinct_keys_compile_distinct_plans(self, pdf1d_rat,
-                                                  pdf2d_rat):
-        cache = PlanCache()
-        a = cache.get(pdf1d_rat)
-        b = cache.get(pdf2d_rat)
-        assert a is not b
-        assert len(cache) == 2
-
-    def test_lru_eviction(self, pdf1d_rat, pdf2d_rat, md_rat):
-        cache = PlanCache(maxsize=2)
-        first = cache.get(pdf1d_rat)
-        cache.get(pdf2d_rat)
-        cache.get(pdf1d_rat)  # refresh: pdf2d is now least recent
-        cache.get(md_rat)  # evicts pdf2d
-        assert cache.get(pdf1d_rat) is first
-        assert len(cache) == 2
-
-    def test_rejects_bad_maxsize(self):
-        with pytest.raises(ParameterError, match="maxsize"):
-            PlanCache(maxsize=0)
-
-    def test_clear(self, pdf1d_rat):
-        cache = PlanCache()
-        cache.get(pdf1d_rat)
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_shared_plan_is_process_wide(self, pdf1d_rat):
-        assert shared_plan(pdf1d_rat) is shared_plan(pdf1d_rat)
-        compiles = get_metrics().counter("plan.compiles")
-        before = compiles.value
-        shared_plan(pdf1d_rat)
-        assert compiles.value == before  # cache hit: no new compile

@@ -30,10 +30,14 @@ from repro.explore.executor import _predict_chunk
 CRASH_HZ = 111.5e6
 HANG_HZ = 222.5e6
 KILL_PARENT_HZ = 333.5e6
+FAIL_HZ = 144.5e6
 
 #: How long a "hung" injector sleeps — far beyond any test timeout, so
 #: only pool termination can end it.
 HANG_S = 300.0
+
+#: How long exit_once_or_nap keeps a task in flight.
+NAP_S = 1.0
 
 
 def _touch(token: str) -> None:
@@ -72,6 +76,20 @@ def exit_once_on_negative(x, token):
     return 2 * x
 
 
+def exit_once_or_nap(x, token):
+    """Crash once on a negative task; nap NAP_S on a zero task.
+
+    The nap keeps a zero task in flight while a negative one's crash
+    breaks the pool, so the break involves both.
+    """
+    if x < 0 and not os.path.exists(token):
+        _touch(token)
+        os._exit(13)
+    if x == 0:
+        time.sleep(NAP_S)
+    return 2 * x
+
+
 def sleep_on_negative(x):
     if x < 0:
         time.sleep(HANG_S)
@@ -101,6 +119,13 @@ def exit_in_worker(x):
 
 def raising_chunk(chunk, mode):
     raise RuntimeError("injected chunk failure")
+
+
+def failing_marker_chunk(chunk, mode):
+    """Raise on every attempt at a FAIL_HZ chunk; evaluate the rest."""
+    if _has_marker(chunk, FAIL_HZ):
+        raise RuntimeError("injected persistent chunk failure")
+    return _predict_chunk(chunk, mode)
 
 
 def flaky_chunk(chunk, mode, token):

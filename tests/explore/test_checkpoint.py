@@ -11,6 +11,8 @@ from repro.errors import ExplorationError, ParameterError
 from repro.explore import ChunkJournal, DesignSpace, explore, map_designs, run_key
 from repro.explore.checkpoint import JOURNAL_VERSION
 
+from tests.conftest import assert_matches_scalar
+
 from . import faults
 
 
@@ -45,6 +47,19 @@ class TestRunKey:
         )
         assert run_key(space, BufferingMode.SINGLE, 10, "fail") != run_key(
             nudged, BufferingMode.SINGLE, 10, "fail"
+        )
+
+    def test_same_for_row_and_column_major_values(self, pdf1d_rat):
+        # Spaces store values column-major; a journal keyed on the same
+        # values laid out row-major must still resume.
+        space = _space(pdf1d_rat)
+        row_major = DesignSpace(space.base, space.axes, space.values)
+        object.__setattr__(
+            row_major, "values", np.ascontiguousarray(space.values)
+        )
+        assert not row_major.values.flags.f_contiguous
+        assert run_key(space, BufferingMode.SINGLE, 10, "fail") == run_key(
+            row_major, BufferingMode.SINGLE, 10, "fail"
         )
 
     def test_sensitive_to_base_worksheet(self, pdf1d_rat, pdf2d_rat):
@@ -159,6 +174,25 @@ class TestExploreResume:
                 getattr(resumed.prediction, name).tobytes()
                 == getattr(clean.prediction, name).tobytes()
             )
+
+    def test_resumed_rows_match_scalar(self, tmp_path, pdf1d_rat):
+        # Replayed chunks are copied into their slices of the result
+        # columns, the rest evaluated into theirs: every row is exact.
+        chunk = 8
+        space = DesignSpace.random(
+            pdf1d_rat, 3 * chunk + 5, seed=3,
+            clock_mhz=(50, 300), alpha=(0.1, 0.9),
+        )
+        journal = tmp_path / "run.jsonl"
+        explore(space, chunk_size=chunk, checkpoint=journal)
+        _truncate_journal(journal, keep_chunks=2)
+        resumed = explore(
+            space, chunk_size=chunk, checkpoint=journal, resume=True
+        )
+        assert resumed.resumed_chunks == 2
+        assert_matches_scalar(
+            space.to_batch(), BufferingMode.SINGLE, resumed.prediction
+        )
 
     def test_complete_journal_resumes_everything(self, tmp_path, pdf1d_rat):
         space = _space(pdf1d_rat, 20)

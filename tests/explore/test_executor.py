@@ -17,6 +17,12 @@ from repro.explore import (
 )
 from repro.obs import configure, get_metrics, get_tracer, reset
 
+from tests.conftest import (
+    RESULT_COLUMNS,
+    assert_explore_rows_match_scalar,
+    assert_matches_scalar,
+)
+
 from . import faults
 
 
@@ -37,9 +43,7 @@ class TestExplore:
         result = explore(space, chunk_size=7)
         assert len(result) == len(space)
         for i, rat in enumerate(space.designs()):
-            assert float(result.prediction.speedup[i]) == pytest.approx(
-                predict(rat).speedup, rel=1e-12
-            )
+            assert float(result.prediction.speedup[i]) == predict(rat).speedup
 
     def test_chunking_invariant(self, pdf1d_rat):
         space = _space(pdf1d_rat, 33)
@@ -135,6 +139,10 @@ class TestChunkObservability:
         assert len(chunks) == 3
         assert [s.attributes["chunk"] for s in chunks] == [0, 1, 2]
         assert all(s.attributes["elapsed_s"] > 0 for s in chunks)
+        # A real span encloses the chunk's own timing; a re-emitted
+        # one lasts ~0 and says so.
+        assert all(s.duration >= s.attributes["elapsed_s"] for s in chunks)
+        assert all("synthetic" not in s.attributes for s in chunks)
 
     def test_pool_chunks_record_synthetic_spans(self, pdf1d_rat):
         # Worker-evaluated chunks cannot span in the parent; the worker
@@ -247,20 +255,7 @@ class TestMapDesignsFaults:
 
 
 class TestPlanReuse:
-    def test_serial_explore_compiles_once_per_worksheet(self, pdf1d_rat):
-        from repro.core.plan import shared_plan
-
-        space = DesignSpace.grid(
-            pdf1d_rat, clock_hz=tuple(np.linspace(5e7, 3e8, 64))
-        )
-        # Prime the process-wide cache, then repeated explores (each
-        # evaluating many chunks) must never compile another plan.
-        shared_plan(space.base)
-        compiles = get_metrics().counter("plan.compiles")
-        before = compiles.value
-        for _ in range(3):
-            explore(space, chunk_size=8)
-        assert compiles.value == before
+    """Row guarantees explore kept when it stopped evaluating via plans."""
 
     def test_plan_path_matches_scalar_rows(self, pdf1d_rat):
         clocks = tuple(np.linspace(5e7, 3e8, 17))
@@ -271,8 +266,8 @@ class TestPlanReuse:
             assert float(result.prediction.speedup[i]) == expected.speedup
 
     def test_chunk_columns_survive_across_chunks(self, pdf1d_rat):
-        # Plan results are copied out of the plan's buffers per chunk;
-        # a later chunk must not clobber an earlier chunk's rows.
+        # Each chunk writes its own slice of the result columns; a later
+        # chunk must not clobber an earlier chunk's rows.
         space = DesignSpace.grid(
             pdf1d_rat, clock_hz=tuple(np.linspace(5e7, 3e8, 40))
         )
@@ -281,3 +276,125 @@ class TestPlanReuse:
         assert np.array_equal(
             chunked.prediction.speedup, whole.prediction.speedup
         )
+
+
+#: Rows per chunk in the result-column tests; their spaces span three
+#: full chunks and a partial fourth.
+CHUNK = 16
+N = 3 * CHUNK + 5
+
+BATCH_COLUMNS = (
+    "elements_in", "elements_out", "bytes_per_element", "ideal_bandwidth",
+    "alpha_write", "alpha_read", "ops_per_element", "throughput_proc",
+    "clock_hz", "t_soft", "n_iterations",
+)
+
+
+def _parity_space(base, bad=(), marker=None):
+    """``N`` points over clock x alpha; the other columns stay constant.
+
+    Rows in ``bad`` get an invalid clock, row ``marker`` the FAIL_HZ
+    clock that ``faults.failing_marker_chunk`` always fails on.
+    """
+    values = DesignSpace.random(
+        base, N, seed=3, clock_mhz=(50, 300), alpha=(0.1, 0.9)
+    ).values.copy()
+    values[list(bad), 0] = -1.0
+    if marker is not None:
+        values[marker, 0] = faults.FAIL_HZ / 1e6
+    return DesignSpace(base=base, axes=("clock_mhz", "alpha"), values=values)
+
+
+def _assert_nan_rows(result, rows):
+    for name in RESULT_COLUMNS:
+        assert np.isnan(getattr(result.prediction, name)[rows]).all(), name
+
+
+class TestResultColumns:
+    """Every chunk lands in its slice of the call's result columns."""
+
+    @pytest.mark.parametrize("mode", list(BufferingMode))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_row_matches_scalar(self, pdf1d_rat, workers, mode):
+        space = _parity_space(pdf1d_rat)
+        batch = space.to_batch()
+        assert len(batch.broadcast) == 8  # clock and both alphas vary
+        result = explore(space, mode, chunk_size=CHUNK, workers=workers)
+        assert_matches_scalar(batch, mode, result.prediction)
+
+    def test_quarantined_points_are_nan_rows(self, pdf1d_rat):
+        bad = [0, CHUNK - 1, CHUNK, 2 * CHUNK + 3, N - 1]
+        result = explore(
+            _parity_space(pdf1d_rat, bad),
+            chunk_size=CHUNK, on_error="quarantine",
+        )
+        assert [failure.index for failure in result.failures] == bad
+        assert len(result) == N
+        _assert_nan_rows(result, bad)
+        assert_explore_rows_match_scalar(
+            result, np.setdiff1d(np.arange(N), bad)
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("on_error", ["quarantine", "skip"])
+    def test_always_failing_chunk(self, pdf1d_rat, on_error, workers):
+        bad = [2, CHUNK + 5]
+        # Design CHUNK + 9 is evaluated as row CHUNK + 7 once the two
+        # bad designs before it are quarantined: chunk 1 fails.
+        space = _parity_space(pdf1d_rat, bad, marker=CHUNK + 9)
+        result = explore(
+            space, chunk_size=CHUNK, workers=workers, on_error=on_error,
+            retry=RetryPolicy(max_retries=0, backoff_s=0.0),
+            chunk_fn=faults.failing_marker_chunk,
+        )
+        [failure] = result.chunk_failures
+        assert (failure.index, failure.lo, failure.hi) == (1, CHUNK, 2 * CHUNK)
+        assert result.n_failed == len(bad) + CHUNK
+        valid = np.setdiff1d(np.arange(N), bad)
+        lost = valid[CHUNK:2 * CHUNK]
+        survivors = np.setdiff1d(valid, lost)
+        if on_error == "skip":
+            assert result.indices.tolist() == survivors.tolist()
+            assert_explore_rows_match_scalar(
+                result, np.arange(len(survivors))
+            )
+        else:
+            assert len(result) == N
+            _assert_nan_rows(result, np.union1d(bad, lost))
+            assert_explore_rows_match_scalar(result, survivors)
+
+    @pytest.mark.parametrize("on_error", ["quarantine", "skip"])
+    def test_every_point_quarantined(self, pdf1d_rat, on_error):
+        result = explore(
+            _parity_space(pdf1d_rat, bad=range(N)),
+            chunk_size=CHUNK, on_error=on_error,
+        )
+        assert len(result.failures) == N
+        if on_error == "skip":
+            assert len(result) == 0
+            assert result.indices.tolist() == []
+        else:
+            assert len(result) == N
+            _assert_nan_rows(result, np.arange(N))
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"workers": 2}, {"on_error": "quarantine"}, {"on_error": "skip"},
+    ], ids=["serial", "workers2", "quarantine", "skip"])
+    def test_columns_writable_and_unshared(self, pdf1d_rat, kwargs):
+        bad = [3] if "on_error" in kwargs else []
+        space = _parity_space(pdf1d_rat, bad)
+        result = explore(space, chunk_size=CHUNK, **kwargs)
+        columns = [getattr(result.prediction, name) for name in RESULT_COLUMNS]
+        batch = result.prediction.batch
+        inputs = [space.values]
+        inputs += [getattr(batch, name) for name in BATCH_COLUMNS]
+        for i, column in enumerate(columns):
+            assert column.flags.writeable, RESULT_COLUMNS[i]
+            for other in columns[i + 1:] + inputs:
+                assert not np.shares_memory(column, other), RESULT_COLUMNS[i]
+
+    def test_explore_compiles_no_plan(self, pdf1d_rat):
+        compiles = get_metrics().counter("plan.compiles")
+        before = compiles.value
+        explore(_parity_space(pdf1d_rat), chunk_size=CHUNK)
+        assert compiles.value == before

@@ -56,6 +56,19 @@ class TestPoolCrashRecovery:
         assert report.failures == []
         assert os.path.exists(token)
 
+    def test_uncharged_reruns_count_as_retries(self, tmp_path):
+        # The crash breaks both in-flight chunks: neither is charged
+        # (the culprit is unknown until probed), but both run again.
+        report = run_chunks(
+            [-1, 0],
+            partial(faults.exit_once_or_nap, token=str(tmp_path / "c.token")),
+            workers=2, policy=_fast_policy(max_retries=0),
+            on_error="quarantine",
+        )
+        assert report.results == [-2, 0]
+        assert report.failures == []
+        assert report.retries == 2
+
     def test_persistent_pool_death_degrades_to_serial(self):
         # exit_in_worker kills every pool worker but runs fine in the
         # parent: after repeated pool breaks the engine must finish the

@@ -122,6 +122,38 @@ class TestToBatch:
                 predict(batch.row(i)).t_rc, rel=1e-15
             )
 
+    @pytest.mark.parametrize("make", ["grid", "random", "explicit"])
+    def test_axis_columns_contiguous(self, simple_rat, make):
+        if make == "grid":
+            space = DesignSpace.grid(
+                simple_rat, clock_mhz=[75, 150, 200], alpha=[0.2, 0.8],
+                throughput_proc=[1, 2],
+            )
+        elif make == "random":
+            space = DesignSpace.random(
+                simple_rat, 50, clock_mhz=(50, 300), alpha=(0.1, 0.9)
+            )
+        else:
+            space = DesignSpace.explicit(simple_rat, [
+                {"clock_mhz": 75.0, "alpha": 0.2},
+                {"clock_mhz": 150.0, "alpha": 0.8},
+            ])
+        for j in range(len(space.axes)):
+            assert space.values[:, j].flags.c_contiguous
+        # The alpha axis hands its value column to both alpha fields.
+        batch = space.to_batch()
+        assert np.shares_memory(batch.alpha_write, space.values)
+        assert batch.alpha_write is batch.alpha_read
+
+    def test_random_values_unchanged_by_layout(self, simple_rat):
+        space = DesignSpace.random(
+            simple_rat, 20, seed=9, clock_mhz=(50, 300), alpha=(0.1, 0.9)
+        )
+        lows, highs = np.array([50.0, 0.1]), np.array([300.0, 0.9])
+        draws = np.random.default_rng(9).random((20, 2))
+        expected = lows + (highs - lows) * draws  # the sampler's formula
+        assert space.values.tobytes(order="C") == expected.tobytes()
+
     def test_describe(self, simple_rat):
         text = DesignSpace.grid(simple_rat, alpha=[0.1, 0.2]).describe()
         assert "2 point(s)" in text and "alpha" in text

@@ -3,6 +3,9 @@
 import asyncio
 import json
 
+import pytest
+
+from repro.core.batch import BatchInput
 from repro.core.buffering import BufferingMode
 from repro.core.params import RATInput
 from repro.core.throughput import predict
@@ -220,6 +223,28 @@ class TestBatchEndpoint:
         assert bad1["error"] == "alpha_write must be in (0, 1], got -1.0"
         scalar = predict(RATInput.from_dict(sheets[2]), BufferingMode.SINGLE)
         assert ok2["predictions"]["single"]["speedup"] == scalar.speedup
+
+    @pytest.mark.parametrize("bad_rows", [0, 1])
+    def test_rows_validated_once(self, monkeypatch, bad_rows):
+        # row_violations triages every row; neither selecting the kept
+        # rows nor batch_predict (once per mode) runs the rules again.
+        calls = []
+        validate = BatchInput._validate
+
+        def counting(batch):
+            calls.append(len(batch))
+            validate(batch)
+
+        monkeypatch.setattr(BatchInput, "_validate", counting)
+        sheets = [{**WORKSHEET, "clock_mhz": 50.0 + i} for i in range(64)]
+        if bad_rows:
+            sheets[17] = {**sheets[17], "alpha_read": 1.5}
+        [(status, payload, _)] = run_app(
+            post("/v1/batch", {"worksheets": sheets})
+        )
+        assert status == 200
+        assert payload["evaluated"] == 64 - bad_rows
+        assert calls == []
 
     def test_malformed_row_reported_in_place(self):
         [(status, payload, _)] = run_app(
