@@ -19,12 +19,11 @@ Subcommands
 ``rat explore --study NAME --axis clock_mhz=75,100,150 --axis alpha=0.1:0.5:9``
     Grid design-space exploration on the vectorized batch engine:
     every combination of the axis values is predicted in bulk
-    (``--workers``/``--chunk`` control parallelism and chunking;
-    ``--format json`` emits machine-readable records, ``--top K`` keeps
-    the K best by speedup).  Fault tolerance: ``--on-error
-    {fail,skip,quarantine}`` picks the failure policy, ``--max-retries``/
-    ``--timeout`` tune chunk retry, and ``--checkpoint PATH`` with
-    ``--resume`` journals completed chunks for crash recovery.
+    (``--chunk`` sets the chunk size; ``--format json`` emits
+    machine-readable records, ``--top K`` keeps the K best by speedup).
+    Fault tolerance: ``--on-error {fail,skip,quarantine}`` picks the
+    invalid-design policy, and ``--checkpoint PATH`` with ``--resume``
+    journals completed chunks for crash recovery.
 ``rat platforms [--format json]``
     List catalogued platforms/devices/interconnects (``--format json``
     for a machine-readable catalog).
@@ -247,34 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore_cmd.add_argument("--double-buffered", action="store_true")
     explore_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool workers for chunk evaluation (default serial; "
-        "0 means one per CPU core)",
-    )
-    explore_cmd.add_argument(
         "--on-error",
         default="fail",
         choices=["fail", "skip", "quarantine"],
-        help="failure policy: abort on the first bad design/chunk (fail), "
+        help="failure policy: abort on the first bad design (fail), "
         "drop failed rows (skip), or keep NaN rows with diagnostics "
         "(quarantine)",
-    )
-    explore_cmd.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="re-executions per failed chunk before it counts as failed",
-    )
-    explore_cmd.add_argument(
-        "--timeout",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="per-chunk wall-clock timeout on the worker-pool path "
-        "(0 disables)",
     )
     explore_cmd.add_argument(
         "--checkpoint",
@@ -760,7 +737,7 @@ def _parse_axis_spec(text: str) -> tuple[str, list[float]]:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from .explore import DEFAULT_CHUNK_SIZE, DesignSpace, RetryPolicy, explore
+    from .explore import DEFAULT_CHUNK_SIZE, DesignSpace, explore
 
     study = get_case_study(args.study)
     mode = BufferingMode.DOUBLE if args.double_buffered else BufferingMode.SINGLE
@@ -769,17 +746,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         name, values = _parse_axis_spec(flag)
         axes[name] = values
     space = DesignSpace.grid(study.rat, **axes)
-    retry = RetryPolicy(
-        max_retries=args.max_retries,
-        timeout_s=args.timeout if args.timeout > 0 else None,
-    )
     result = explore(
         space,
         mode,
         chunk_size=args.chunk if args.chunk > 0 else DEFAULT_CHUNK_SIZE,
-        workers=args.workers,
         on_error=args.on_error,
-        retry=retry,
         checkpoint=args.checkpoint or None,
         resume=args.resume,
     )
@@ -794,7 +765,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if args.top > 0:
         order = order[: args.top]
     failure_lines = [failure.describe() for failure in result.failures]
-    failure_lines += [failure.describe() for failure in result.chunk_failures]
     if args.format == "json":
         print(json.dumps(
             {
@@ -807,7 +777,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 "failed_points": result.n_failed,
                 "failures": failure_lines,
                 "resumed_chunks": result.resumed_chunks,
-                "retries": result.retries,
                 "predictions": [records[i] for i in order],
             },
             indent=2,

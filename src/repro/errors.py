@@ -72,9 +72,6 @@ class ExplorationError(RATError, RuntimeError):
     be resumed.  Carries the structured failure records and whatever
     partial results were computed so callers can salvage a long run:
 
-    ``failures``
-        Row-level diagnostics (``PointFailure`` instances) for designs
-        the validator quarantined.
     ``chunk_failures``
         Chunk-level diagnostics (``ChunkFailure`` instances) for crashes,
         timeouts, and exhausted retries.
@@ -86,12 +83,10 @@ class ExplorationError(RATError, RuntimeError):
         self,
         message: str,
         *,
-        failures: tuple = (),
         chunk_failures: tuple = (),
         partial: object = None,
     ) -> None:
         super().__init__(message)
-        self.failures = tuple(failures)
         self.chunk_failures = tuple(chunk_failures)
         self.partial = partial
 
@@ -105,7 +100,6 @@ class ExplorationError(RATError, RuntimeError):
             (
                 type(self),
                 self.args[0] if self.args else "",
-                self.failures,
                 self.chunk_failures,
                 self.partial,
             ),
@@ -113,16 +107,10 @@ class ExplorationError(RATError, RuntimeError):
 
 
 def _rebuild_exploration_error(
-    cls: type, message: str, failures: tuple, chunk_failures: tuple,
-    partial: object,
+    cls: type, message: str, chunk_failures: tuple, partial: object,
 ) -> "ExplorationError":
     """Unpickle helper for :class:`ExplorationError` (and subclasses)."""
-    return cls(
-        message,
-        failures=failures,
-        chunk_failures=chunk_failures,
-        partial=partial,
-    )
+    return cls(message, chunk_failures=chunk_failures, partial=partial)
 
 
 class GoalSeekError(RATError, ValueError):

@@ -11,16 +11,16 @@ fault-tolerant:
     with grid / random / explicit-list sampling plans, convertible to
     scalar ``RATInput`` rows or one struct-of-arrays batch.
 ``executor``
-    :func:`explore`: chunked evaluation through the batch engine's
-    compiled plans, serial or process-parallel;
-    :func:`map_designs` for non-vectorizable evaluators (hardware
-    simulation, goal-seek).
+    :func:`explore`: chunked, in-process evaluation on the batch
+    engine's Eq (1)-(11) kernel; :func:`map_designs` for
+    non-vectorizable evaluators (hardware simulation, goal-seek),
+    serial or process-parallel.
 ``runtime``
-    The fault-tolerance layer: :class:`RetryPolicy` retry/backoff/
-    timeout knobs, row-level quarantine with :class:`PointFailure`
-    diagnostics, chunk-level crash/hang recovery with
-    :class:`ChunkFailure` records, and pool respawn / serial
-    degradation.
+    The fault-tolerance layer: row-level quarantine with
+    :class:`PointFailure` diagnostics, and for :func:`map_designs`
+    :class:`RetryPolicy` retry/backoff/timeout knobs, chunk-level
+    crash/hang recovery with :class:`ChunkFailure` records, and pool
+    respawn / serial degradation.
 ``checkpoint``
     :class:`ChunkJournal`: JSONL chunk journal keyed by a content hash
     of the run, so an interrupted exploration resumes from completed

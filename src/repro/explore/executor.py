@@ -3,54 +3,59 @@
 :func:`explore` is the throughput-prediction fast path: it converts a
 :class:`~repro.explore.space.DesignSpace` to one struct-of-arrays batch,
 allocates the call's eight result columns once, and splits the batch
-into fixed-size chunks.  Serially (the default), each chunk runs the
-Eq (1)-(11) kernel straight into its slice of those columns, so results
-are neither copied out per chunk nor concatenated.  With ``workers > 1``
-(``workers=0`` means "one per CPU core") chunks run across a
-``ProcessPoolExecutor`` whose workers return ``batch_predict`` columns,
-which the parent copies into the same slices.
+into fixed-size chunks.  Each chunk runs the Eq (1)-(11) kernel
+in-process, straight into its slice of those columns, so results are
+neither copied out per chunk nor concatenated.  It has no process pool:
+pickling a chunk's rows to a worker and its results back costs far more
+than the kernel spends on them (``docs/performance.md``, "Why explore()
+has no process pool").
 
 :func:`map_designs` is the escape hatch for evaluators the batch engine
 cannot vectorize — event-driven hardware simulation, goal-seek solvers,
 resource estimation — fanning an arbitrary picklable callable over every
-design through the same resilient chunk engine.
+design, serially or across a process pool, through
+:func:`~repro.explore.runtime.run_chunks`.
 
 Fault tolerance (see :mod:`repro.explore.runtime` for the machinery):
 
 * ``on_error="fail"`` (default) preserves the historical behaviour — the
-  first invalid design or exhausted chunk raises.  ``"quarantine"``
+  first invalid design (:func:`explore`) or exhausted chunk
+  (:func:`map_designs`) raises.  In :func:`explore`, ``"quarantine"``
   validates every row up front, evaluates the valid ones, NaN-fills the
-  rest, and reports structured :class:`PointFailure` /
-  :class:`ChunkFailure` diagnostics on the result.  ``"skip"`` drops the
-  failed rows instead, with ``ExplorationResult.indices`` mapping
-  surviving rows back to their design-space indices.
-* ``retry`` (a :class:`RetryPolicy`) adds per-chunk retries with
-  exponential backoff, per-chunk timeouts on the pool path, and
-  ``BrokenProcessPool`` recovery with graceful degradation to serial.
+  rest, and reports structured :class:`PointFailure` diagnostics on the
+  result; ``"skip"`` drops the failed rows instead, with
+  ``ExplorationResult.indices`` mapping surviving rows back to their
+  design-space indices.  :func:`map_designs` fails whole chunks
+  (:class:`ChunkFailure`) and keeps them as ``None`` or drops them.
+* :func:`map_designs` alone takes ``retry`` (a :class:`RetryPolicy`):
+  per-chunk retries with exponential backoff, per-chunk timeouts on the
+  pool path, and ``BrokenProcessPool`` recovery with graceful
+  degradation to serial.  :func:`explore`'s kernel cannot raise on the
+  rows validation let through, so an exception from it propagates.
 * ``checkpoint=PATH`` journals each completed chunk to a JSONL file;
   ``resume=True`` replays completed chunks from a previous interrupted
   run (bitwise-identical results — see
   :mod:`repro.explore.checkpoint`).
 
-Observability: the whole call runs under an ``explore.run`` span; every
-chunk records an ``explore.chunk`` span in the *parent* process.  A
-chunk :func:`explore` evaluates in-process gets a real span around its
-kernel call.  Chunks evaluated in worker processes, and every
-:func:`map_designs` chunk, return their elapsed time and the parent
-re-emits a synthetic span carrying it (``synthetic: True``), so pool
-runs are not blind.  ``explore.points`` counts evaluated designs,
-``explore.chunk_seconds`` aggregates per-chunk latency,
-``explore.retries`` / ``explore.failed_points`` / ``explore.failed_chunks``
-/ ``explore.resumed_chunks`` track fault handling, and the
+Observability: each call runs under an ``explore.run`` (or
+``explore.map_designs``) span, and every chunk records an
+``explore.chunk`` span.  An :func:`explore` chunk's span encloses its
+kernel call.  :func:`map_designs` chunks may run in worker processes,
+so each returns its elapsed time and the parent re-emits a synthetic
+span carrying it (``synthetic: True``), so pool runs are not blind.
+``explore.points`` counts evaluated designs, ``explore.chunk_seconds``
+aggregates per-chunk latency, ``explore.retries`` /
+``explore.failed_points`` / ``explore.failed_chunks`` /
+``explore.resumed_chunks`` track fault handling, and the
 ``explore.predictions_per_sec`` gauge tracks realised throughput.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -60,7 +65,6 @@ from ..core.batch import (
     BatchInput,
     BatchPrediction,
     _predict_into,
-    batch_predict,
     mark_rows_valid,
 )
 from ..core.buffering import BufferingMode
@@ -68,7 +72,6 @@ from ..core.params import RATInput
 from ..core.throughput import ThroughputPrediction
 from ..errors import ExplorationError, ParameterError
 from ..obs import get_metrics, get_tracer
-from ..obs.propagation import TraceContext, activate, current_context, deactivate
 from .checkpoint import ChunkJournal, run_key
 from .runtime import (
     ChunkFailure,
@@ -89,7 +92,7 @@ __all__ = [
 ]
 
 #: Default points per chunk: large enough to amortise numpy dispatch,
-#: small enough to keep per-chunk spans meaningful and pool tasks even.
+#: small enough to keep per-chunk spans and checkpoint records meaningful.
 DEFAULT_CHUNK_SIZE = 65536
 
 #: Floor applied to measured wall-clock before computing throughput:
@@ -105,8 +108,7 @@ class ExplorationResult:
     design point, NaN-filled where the point failed; with ``"skip"``
     failed rows are dropped and ``indices`` maps prediction row ``i``
     back to design ``indices[i]`` of ``space``.  ``failures`` holds
-    row-level validation diagnoses, ``chunk_failures`` crash/timeout
-    diagnoses for whole chunks.
+    row-level validation diagnoses.
     """
 
     space: DesignSpace
@@ -114,11 +116,12 @@ class ExplorationResult:
     prediction: BatchPrediction
     elapsed_s: float
     failures: tuple[PointFailure, ...] = ()
+    # Always empty: explore() fails no chunk.  Kept because the
+    # repository benchmark's output check (ratbench/inputs.py,
+    # check_explore) still reads it.
     chunk_failures: tuple[ChunkFailure, ...] = ()
     indices: np.ndarray | None = None
     resumed_chunks: int = 0
-    retries: int = 0
-    degraded: bool = False
 
     def __len__(self) -> int:
         return len(self.prediction)
@@ -136,12 +139,7 @@ class ExplorationResult:
     @property
     def n_failed(self) -> int:
         """Design points that produced no prediction."""
-        chunk_rows = sum(
-            failure.hi - failure.lo
-            for failure in self.chunk_failures
-            if failure.lo >= 0
-        )
-        return len(self.failures) + chunk_rows
+        return len(self.failures)
 
     def design_index(self, i: int) -> int:
         """Design-space index of prediction row ``i``."""
@@ -191,53 +189,26 @@ def _effective_workers(workers: int) -> int:
     return workers
 
 
-def _predict_chunk(
-    chunk: BatchInput,
-    mode: BufferingMode,
-    trace: dict | None = None,
-) -> tuple[float, tuple[np.ndarray, ...]]:
-    """Worker-side chunk evaluation (top level so it pickles).
-
-    Returns ``(elapsed_seconds, result_columns)``: the parent copies the
-    columns into the chunk's slices of its result and re-emits
-    per-chunk observability for the worker.
-
-    ``trace`` is the parent's serialized
-    :class:`~repro.obs.propagation.TraceContext` (contextvars do not
-    cross the ``ProcessPoolExecutor`` boundary); activating it in the
-    worker correlates any worker-side structured logs with the
-    originating request's trace.
-    """
-    token = (
-        activate(TraceContext.from_dict(trace)) if trace is not None else None
-    )
-    try:
-        started = time.perf_counter()
-        prediction = batch_predict(chunk, mode)
-        elapsed = time.perf_counter() - started
-        return elapsed, tuple(
-            getattr(prediction, name) for name in _RESULT_COLUMNS
-        )
-    finally:
-        if token is not None:
-            deactivate(token)
-
-
-#: Per-process map_designs state, seeded by :func:`_map_worker_init` so
-#: the (potentially large) design space and evaluator pickle into each
-#: worker once at pool start instead of once per chunk task.
-_MAP_STATE: tuple[DesignSpace, Callable] | None = None
+#: The ``(space, evaluator)`` of the map_designs run whose chunks this
+#: thread evaluates.  A pool worker gets it once from
+#: :func:`_map_worker_init`, so the (potentially large) design space
+#: pickles into each worker at pool start instead of into every task,
+#: and runs its tasks on the thread that ran the initializer.  An
+#: in-process run sets it for the calling thread only and restores the
+#: previous value when it returns, so concurrent runs in other threads
+#: keep their own and a finished run's space is released.
+_map_state = threading.local()
 
 
 def _map_worker_init(space: DesignSpace, evaluator: Callable) -> None:
-    global _MAP_STATE
-    _MAP_STATE = (space, evaluator)
+    _map_state.run = (space, evaluator)
 
 
 def _map_chunk(bounds: tuple[int, int]) -> tuple[float, list[Any]]:
-    """Worker-side map_designs chunk: evaluate designs ``lo..hi``."""
-    assert _MAP_STATE is not None, "worker initializer did not run"
-    space, evaluator = _MAP_STATE
+    """map_designs chunk: evaluate designs ``lo..hi`` of this thread's run."""
+    run = getattr(_map_state, "run", None)
+    assert run is not None, "worker initializer did not run"
+    space, evaluator = run
     lo, hi = bounds
     started = time.perf_counter()
     results = [evaluator(space.design(i)) for i in range(lo, hi)]
@@ -245,10 +216,10 @@ def _map_chunk(bounds: tuple[int, int]) -> tuple[float, list[Any]]:
 
 
 def _emit_chunk_observability(index: int, size: int, elapsed: float) -> None:
-    """Parent-side chunk span + latency metric for a re-emitted chunk.
+    """Parent-side chunk span + latency metric for a map_designs chunk.
 
     Chunks evaluated in worker processes cannot record spans in the
-    parent's tracer, so the worker returns its elapsed time and the
+    parent's tracer, so every chunk returns its elapsed time and the
     parent emits a *synthetic* ``explore.chunk`` span carrying it — the
     span's own duration is ~0; read ``elapsed_s`` for the real timing.
     """
@@ -276,159 +247,18 @@ def _emit_chunk_failure_span(failure: ChunkFailure) -> None:
         pass
 
 
-class _ChunkedRun:
-    """Shared chunk bookkeeping: checkpoint replay, dispatch, remap.
-
-    Drives :func:`run_chunks` over the chunks a previous checkpointed
-    run has not already completed, journals fresh completions, emits
-    parent-side chunk observability, and translates engine failure
-    records (indexed by *task position*) back to chunk indices/bounds.
-    """
-
-    def __init__(
-        self,
-        bounds: list[tuple[int, int]],
-        journal: ChunkJournal | None,
-        decode: Callable[[Any], Any],
-        encode: Callable[[Any], Any],
-    ) -> None:
-        self.bounds = bounds
-        self.journal = journal
-        self.decode = decode
-        self.encode = encode
-        self.slots: list[Any] = [None] * len(bounds)
-        self.todo: list[int] = list(range(len(bounds)))
-        self.resumed = 0
-
-    def replay(self, completed: dict[int, Any]) -> None:
-        """Fill slots from a resumed journal's completed payloads."""
-        for index, payload in completed.items():
-            if 0 <= index < len(self.bounds):
-                self._store(index, self.decode(payload))
-                self.resumed += 1
-        self.todo = [i for i in range(len(self.bounds)) if self.slots[i] is None]
-        if self.resumed:
-            get_metrics().counter("explore.resumed_chunks").inc(self.resumed)
-
-    def _store(self, index: int, value: Any) -> None:
-        """Keep chunk ``index``'s result."""
-        self.slots[index] = value
-
-    def _on_result(self, position: int, result: tuple[float, Any]) -> None:
-        index = self.todo[position]
-        elapsed, value = result
-        if value is not None:
-            # Not run by _ColumnRun.evaluate (which returns None and
-            # spans the chunk itself): re-emit the chunk's span.
-            lo, hi = self.bounds[index]
-            _emit_chunk_observability(index, hi - lo, elapsed)
-        self._store(index, value)
-        if self.journal is not None:
-            payload = self.encode(self.slots[index])
-            self.journal.append(
-                index, {"elapsed": elapsed, "payload": payload}
-            )
-
-    def _remap(self, failures: Sequence[ChunkFailure]) -> tuple[ChunkFailure, ...]:
-        """Engine failures (task positions) -> chunk indices + bounds."""
-        remapped = []
-        for failure in failures:
-            index = self.todo[failure.index]
-            lo, hi = self.bounds[index]
-            remapped.append(replace(failure, index=index, lo=lo, hi=hi))
-        return tuple(remapped)
-
-    def run(
-        self,
-        tasks: Sequence[Any],
-        fn: Callable[[Any], Any],
-        *,
-        workers: int,
-        policy: RetryPolicy,
-        on_error: str,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> tuple[tuple[ChunkFailure, ...], int, bool]:
-        """Execute outstanding chunks; returns (failures, retries, degraded)."""
-        try:
-            report = run_chunks(
-                tasks,
-                fn,
-                workers=workers,
-                policy=policy,
-                on_error=on_error,
-                on_result=self._on_result,
-                initializer=initializer,
-                initargs=initargs,
-            )
-        except ExplorationError as exc:
-            chunk_failures = self._remap(exc.chunk_failures)
-            for failure in chunk_failures:
-                _emit_chunk_failure_span(failure)
-            raise ExplorationError(
-                str(exc), chunk_failures=chunk_failures, partial=exc.partial
-            ) from exc
-        chunk_failures = self._remap(report.failures)
-        for failure in chunk_failures:
-            _emit_chunk_failure_span(failure)
-        return chunk_failures, report.retries, report.degraded
-
-
-class _ColumnRun(_ChunkedRun):
-    """:func:`explore`'s chunk bookkeeping: results land in column slices.
-
-    ``columns`` are the call's eight result columns, one row per
-    evaluated point.  :meth:`evaluate` runs a chunk in-process straight
-    into its slices; pool-worker results and journal replays are copied
-    into the same slices, and a retried chunk overwrites its own.
-    """
-
-    def __init__(
-        self, bounds: list[tuple[int, int]], journal: ChunkJournal | None,
-        columns: Sequence[np.ndarray],
-    ) -> None:
-        super().__init__(bounds, journal, _decode_columns, _encode_columns)
-        self.columns = columns
-
-    def _slices(self, index: int) -> tuple[np.ndarray, ...]:
-        lo, hi = self.bounds[index]
-        return tuple(column[lo:hi] for column in self.columns)
-
-    def _store(self, index: int, value: Any) -> None:
-        views = self._slices(index)
-        if value is not None:
-            for view, part in zip(views, value):
-                view[...] = part
-        self.slots[index] = views
-
-    def evaluate(
-        self, task: tuple[int, BatchInput], *, mode: BufferingMode,
-        chunk_fn: Callable | None,
-    ) -> tuple[float, None]:
-        """Evaluate an ``(index, chunk)`` task into the chunk's slices."""
-        index, chunk = task
-        views = self._slices(index)
-        with get_tracer().span(
-            "explore.chunk", {"chunk": index, "size": len(chunk)}, "explore"
-        ) as span:
-            started = time.perf_counter()
-            if chunk_fn is None:
-                _predict_into(chunk, mode, views)
-            else:
-                for view, part in zip(views, chunk_fn(chunk, mode)[1]):
-                    view[...] = part
-            elapsed = time.perf_counter() - started
-            span.set_attribute("elapsed_s", elapsed)
-        get_metrics().histogram("explore.chunk_seconds").observe(elapsed)
-        return elapsed, None
-
-
 def _open_journal(
     checkpoint: str | os.PathLike | None,
     resume: bool,
     key_fn: Callable[[], str],
+    n_chunks: int,
 ) -> tuple[ChunkJournal | None, dict[int, Any]]:
-    """Set up the chunk journal (if requested) and load resumable work."""
+    """Set up the chunk journal (if requested) and load resumable work.
+
+    Returns the journal and ``{chunk_index: payload}`` for this run's
+    chunks that a previous run already completed; their count feeds
+    ``explore.resumed_chunks``.
+    """
     if not checkpoint:
         if resume:
             raise ParameterError("resume=True requires a checkpoint path")
@@ -440,18 +270,14 @@ def _open_journal(
         journal.open(fresh=not completed)
     else:
         journal.open(fresh=True)
-    return journal, completed
-
-
-def _encode_columns(columns: tuple[np.ndarray, ...]) -> list[list[float]]:
-    return [column.tolist() for column in columns]
-
-
-def _decode_columns(payload: dict) -> tuple[np.ndarray, ...]:
-    return tuple(
-        np.asarray(column, dtype=np.float64)
-        for column in payload["payload"]
-    )
+    done = {
+        index: record["payload"]
+        for index, record in completed.items()
+        if 0 <= index < n_chunks
+    }
+    if done:
+        get_metrics().counter("explore.resumed_chunks").inc(len(done))
+    return journal, done
 
 
 def explore(
@@ -459,33 +285,21 @@ def explore(
     mode: BufferingMode = BufferingMode.SINGLE,
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workers: int = 1,
     on_error: str = "fail",
-    retry: RetryPolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
-    chunk_fn: Callable | None = None,
 ) -> ExplorationResult:
     """Predict throughput for every point of ``space`` on the batch engine.
 
-    ``chunk_size`` bounds the rows evaluated per batch call (and the
-    granularity of pool tasks, checkpoint records, and ``explore.chunk``
-    spans); ``workers`` selects serial (``1``), process-pool (``> 1``),
-    or one-per-CPU-core (``0``) execution.
-
-    Fault tolerance: ``on_error`` picks the failure policy
-    (``"fail"``/``"skip"``/``"quarantine"``, see the module docstring),
-    ``retry`` the per-chunk :class:`RetryPolicy`, and
-    ``checkpoint``/``resume`` the crash-recovery journal.  ``chunk_fn``
-    replaces the chunk evaluator (signature
-    ``(chunk: BatchInput, mode) -> (elapsed_s, columns)``) and exists
-    for fault-injection tests; it must be picklable for pool runs.
+    ``chunk_size`` bounds the rows evaluated per kernel call (and the
+    granularity of checkpoint records and ``explore.chunk`` spans).
+    ``on_error`` picks the invalid-design policy
+    (``"fail"``/``"skip"``/``"quarantine"``, see the module docstring)
+    and ``checkpoint``/``resume`` the crash-recovery journal.
     """
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
     check_on_error(on_error)
-    policy = retry or RetryPolicy()
-    pool_workers = _effective_workers(workers)
     n = len(space)
     tracer = get_tracer()
     metrics = get_metrics()
@@ -494,8 +308,8 @@ def explore(
     try:
         with tracer.span(
             "explore.run",
-            {"points": n, "workers": pool_workers, "chunk_size": chunk_size,
-             "mode": mode.value, "on_error": on_error},
+            {"points": n, "chunk_size": chunk_size, "mode": mode.value,
+             "on_error": on_error},
             "explore",
         ):
             point_failures: tuple[PointFailure, ...] = ()
@@ -518,45 +332,39 @@ def explore(
             m = len(eval_batch)
             bounds = _chunk_bounds(m, chunk_size)
             columns = tuple(np.empty(m) for _ in _RESULT_COLUMNS)
-            journal, completed = _open_journal(
+            journal, done = _open_journal(
                 checkpoint, resume,
                 lambda: run_key(space, mode, chunk_size, on_error),
+                len(bounds),
             )
-            runner = _ColumnRun(bounds, journal, columns)
-            runner.replay(completed)
-            chunks = [(i, eval_batch[slice(*bounds[i])]) for i in runner.todo]
-            if pool_workers <= 1 or len(chunks) <= 1:
-                workers = 1
-                tasks: list[Any] = chunks
-                fn = partial(runner.evaluate, mode=mode, chunk_fn=chunk_fn)
-            else:
-                # A pool task carries its chunk, not its destination
-                # slices (they would be pickled), plus the trace context
-                # read inside explore.run so worker chunks parent there.
-                workers = pool_workers
-                tasks = [chunk for _, chunk in chunks]
-                ctx = current_context()
-                fn = partial(chunk_fn, mode=mode) if chunk_fn else partial(
-                    _predict_chunk, mode=mode, trace=ctx and ctx.to_dict()
-                )
-            try:
-                chunk_failures, retries, degraded = runner.run(
-                    tasks, fn,
-                    workers=workers, policy=policy, on_error=on_error,
-                )
-            except ExplorationError as exc:
-                exc.failures = point_failures
-                raise
-            resumed = runner.resumed
+            chunk_seconds = metrics.histogram("explore.chunk_seconds")
+            for index, (lo, hi) in enumerate(bounds):
+                views = [column[lo:hi] for column in columns]
+                if index in done:
+                    for view, part in zip(views, done[index]):
+                        view[...] = part
+                    continue
+                with tracer.span(
+                    "explore.chunk", {"chunk": index, "size": hi - lo},
+                    "explore",
+                ) as span:
+                    chunk_started = time.perf_counter()
+                    _predict_into(eval_batch[lo:hi], mode, views)
+                    elapsed = time.perf_counter() - chunk_started
+                    span.set_attribute("elapsed_s", elapsed)
+                chunk_seconds.observe(elapsed)
+                if journal is not None:
+                    journal.append(index, {
+                        "elapsed": elapsed,
+                        "payload": [view.tolist() for view in views],
+                    })
             prediction, indices = _assemble_exploration(
-                batch, mode, n, valid_indices, columns, chunk_failures,
-                on_error,
+                batch, mode, n, valid_indices, columns, on_error,
             )
-            failed_rows = len(point_failures) + sum(
-                failure.hi - failure.lo for failure in chunk_failures
-            )
-            if failed_rows:
-                metrics.counter("explore.failed_points").inc(failed_rows)
+            if point_failures:
+                metrics.counter("explore.failed_points").inc(
+                    len(point_failures)
+                )
     finally:
         if journal is not None:
             journal.close()
@@ -571,11 +379,8 @@ def explore(
         prediction=prediction,
         elapsed_s=elapsed,
         failures=point_failures,
-        chunk_failures=chunk_failures,
         indices=indices,
-        resumed_chunks=resumed,
-        retries=retries,
-        degraded=degraded,
+        resumed_chunks=len(done),
     )
 
 
@@ -585,32 +390,20 @@ def _assemble_exploration(
     n: int,
     valid_indices: np.ndarray | None,
     columns: Sequence[np.ndarray],
-    chunk_failures: Sequence[ChunkFailure],
     on_error: str,
 ) -> tuple[BatchPrediction, np.ndarray | None]:
     """Finish the evaluated columns into the final prediction.
 
     ``columns`` hold one row per evaluated point; ``valid_indices``
     (``None`` under ``on_error="fail"``, where every point is evaluated)
-    maps them to design indices.  Failed chunks' rows are dropped under
-    ``"skip"`` and NaN-filled under ``"quarantine"``, where quarantined
-    points are scattered back as NaN rows too.
+    maps them to design indices.  Under ``"quarantine"`` quarantined
+    points are scattered back as NaN rows.
     """
     if on_error == "skip":
-        # Surviving row i maps to design indices[i] of the space.
-        indices = valid_indices
-        if chunk_failures:
-            keep = np.ones(len(indices), dtype=bool)
-            for failure in chunk_failures:
-                keep[failure.lo:failure.hi] = False
-            indices = indices[keep]
-            columns = [column[keep] for column in columns]
-        # Every kept row passed quarantine_rows: no second rule pass.
-        result_batch = mark_rows_valid(batch.take(indices, check=False))
-        return BatchPrediction(result_batch, mode, *columns), indices
-    for failure in chunk_failures:
-        for column in columns:
-            column[failure.lo:failure.hi] = np.nan
+        # Surviving row i maps to design valid_indices[i] of the space;
+        # every kept row passed quarantine_rows: no second rule pass.
+        result_batch = mark_rows_valid(batch.take(valid_indices, check=False))
+        return BatchPrediction(result_batch, mode, *columns), valid_indices
     if valid_indices is not None and len(valid_indices) != n:
         full = [np.full(n, np.nan) for _ in columns]
         for out, column in zip(full, columns):
@@ -640,13 +433,13 @@ def map_designs(
     the evaluator must be picklable (a module-level function), as must
     its results; ``chunk_size`` is the pool's task granularity.
 
-    Fault tolerance mirrors :func:`explore`: ``on_error``, ``retry``,
-    and ``checkpoint``/``resume`` (checkpoint payloads must be
-    JSON-serializable).  Failures are chunk-granular here — with
-    ``"quarantine"`` the failed designs' entries are ``None``, with
-    ``"skip"`` they are dropped.  ``detail=True`` returns a
-    :class:`MapResult` carrying the failure records and the surviving
-    design indices instead of the bare list.
+    Fault tolerance: ``on_error``, ``retry`` (retries, backoff, and
+    per-chunk timeouts on the pool path), and ``checkpoint``/``resume``
+    (checkpoint payloads must be JSON-serializable).  Failures are
+    chunk-granular here — with ``"quarantine"`` the failed designs'
+    entries are ``None``, with ``"skip"`` they are dropped.
+    ``detail=True`` returns a :class:`MapResult` carrying the failure
+    records and the surviving design indices instead of the bare list.
     """
     check_on_error(on_error)
     policy = retry or RetryPolicy()
@@ -666,34 +459,66 @@ def map_designs(
         ):
             bounds = _chunk_bounds(n, chunk_size)
             evaluator_id = getattr(evaluator, "__qualname__", repr(evaluator))
-            journal, completed = _open_journal(
+            journal, slots = _open_journal(
                 checkpoint, resume,
                 lambda: run_key(
                     space, BufferingMode.SINGLE, chunk_size, on_error,
                     evaluator=evaluator_id,
                 ),
+                len(bounds),
             )
-            runner = _ChunkedRun(
-                bounds, journal,
-                decode=lambda payload: payload["payload"],
-                encode=lambda value: value,
-            )
-            runner.replay(completed)
-            # Seed the parent too: the serial path and pool degradation
-            # both run _map_chunk in-process.
-            _map_worker_init(space, evaluator)
-            tasks = [bounds[i] for i in runner.todo]
-            chunk_failures, retries, degraded = runner.run(
-                tasks, _map_chunk,
-                workers=pool_workers, policy=policy, on_error=on_error,
-                initializer=_map_worker_init, initargs=(space, evaluator),
-            )
+            resumed = len(slots)
+            todo = [i for i in range(len(bounds)) if i not in slots]
+
+            def on_result(position: int, result: tuple[float, list]) -> None:
+                index = todo[position]
+                elapsed, values = result
+                lo, hi = bounds[index]
+                _emit_chunk_observability(index, hi - lo, elapsed)
+                slots[index] = values
+                if journal is not None:
+                    journal.append(
+                        index, {"elapsed": elapsed, "payload": values}
+                    )
+
+            def remap(
+                failures: Sequence[ChunkFailure],
+            ) -> tuple[ChunkFailure, ...]:
+                """Task positions -> chunk indices + bounds; span each."""
+                remapped = []
+                for failure in failures:
+                    index = todo[failure.index]
+                    lo, hi = bounds[index]
+                    failure = replace(failure, index=index, lo=lo, hi=hi)
+                    _emit_chunk_failure_span(failure)
+                    remapped.append(failure)
+                return tuple(remapped)
+
+            # The serial path and pool degradation run _map_chunk in
+            # this thread, so it needs the run's state too.
+            previous = getattr(_map_state, "run", None)
+            _map_state.run = (space, evaluator)
+            try:
+                report = run_chunks(
+                    [bounds[i] for i in todo], _map_chunk,
+                    workers=pool_workers, policy=policy, on_error=on_error,
+                    on_result=on_result,
+                    initializer=_map_worker_init, initargs=(space, evaluator),
+                )
+            except ExplorationError as exc:
+                raise ExplorationError(
+                    str(exc), chunk_failures=remap(exc.chunk_failures),
+                    partial=exc.partial,
+                ) from exc
+            finally:
+                _map_state.run = previous
+            chunk_failures = remap(report.failures)
             failed = {failure.index for failure in chunk_failures}
             results: list[Any] = []
             indices: list[int] = []
             for i, (lo, hi) in enumerate(bounds):
-                if runner.slots[i] is not None:
-                    results.extend(runner.slots[i])
+                if i in slots:
+                    results.extend(slots[i])
                     indices.extend(range(lo, hi))
                 elif on_error == "quarantine":
                     results.extend([None] * (hi - lo))
@@ -718,8 +543,8 @@ def map_designs(
             indices=np.asarray(indices, dtype=np.intp),
             elapsed_s=elapsed,
             chunk_failures=chunk_failures,
-            resumed_chunks=runner.resumed,
-            retries=retries,
-            degraded=degraded,
+            resumed_chunks=resumed,
+            retries=report.retries,
+            degraded=report.degraded,
         )
     return results

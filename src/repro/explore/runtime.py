@@ -5,8 +5,8 @@ those sweeps survive partial failure.  Three layers, each independently
 usable:
 
 ``RetryPolicy``
-    Declarative retry/backoff/timeout knobs shared by every executor
-    entry point.
+    Declarative retry/backoff/timeout knobs for :func:`run_chunks` and
+    :func:`~repro.explore.executor.map_designs`.
 ``quarantine_rows``
     Row-level triage: given a deferred-validation
     :class:`~repro.core.batch.BatchInput`, split the rows scalar
@@ -49,7 +49,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -71,7 +71,6 @@ __all__ = [
     "check_on_error",
     "quarantine_rows",
     "run_chunks",
-    "with_bounds",
 ]
 
 #: Accepted ``on_error`` policy names.
@@ -609,14 +608,3 @@ def run_chunks(
     finally:
         pool.terminate()
     return report
-
-
-def with_bounds(
-    failures: Sequence[ChunkFailure], bounds: Sequence[tuple[int, int]]
-) -> list[ChunkFailure]:
-    """Annotate engine failures with their chunks' row bounds."""
-    annotated = []
-    for failure in failures:
-        lo, hi = bounds[failure.index]
-        annotated.append(replace(failure, lo=lo, hi=hi))
-    return annotated

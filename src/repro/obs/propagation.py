@@ -5,10 +5,9 @@ request an *identity that survives process boundaries*.  A
 :class:`TraceContext` is the (trace_id, span_id, baggage) triple of the
 distributed-tracing literature, carried through the program via
 :mod:`contextvars` so it follows the logical flow of control — across
-``await`` points, into ``asyncio.to_thread`` workers, and (serialised
-explicitly) into ``ProcessPoolExecutor`` chunk workers.
+``await`` points and into ``asyncio.to_thread`` workers.
 
-Three transports:
+Two transports:
 
 HTTP headers
     :func:`parse_traceparent` / :func:`format_traceparent` implement the
@@ -16,10 +15,6 @@ HTTP headers
     (32 + 16 lowercase hex digits).  The serve layer extracts the header
     on ingress and injects the request span's identity on egress, so an
     upstream caller sees its trace continued.
-dicts (pickled / JSON)
-    :meth:`TraceContext.to_dict` / :meth:`TraceContext.from_dict` for
-    chunk envelopes shipped to exploration workers and for structured
-    log records.
 ambient context
     :func:`current_context` / :func:`activate` / the :func:`context`
     context manager.  The tracer reads the ambient context when a span
@@ -107,25 +102,6 @@ class TraceContext:
     def child(self, span_id: str) -> "TraceContext":
         """The context a child operation should run under."""
         return _trusted(self.trace_id, span_id, self.baggage)
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON/pickle-safe form for chunk envelopes and log records."""
-        record: dict[str, object] = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-        }
-        if self.baggage:
-            record["baggage"] = dict(self.baggage)
-        return record
-
-    @classmethod
-    def from_dict(cls, record: Mapping[str, object]) -> "TraceContext":
-        """Rebuild a context shipped via :meth:`to_dict`."""
-        return cls(
-            trace_id=str(record["trace_id"]),
-            span_id=str(record["span_id"]),
-            baggage=dict(record.get("baggage", {})),  # type: ignore[arg-type]
-        )
 
 
 def _trusted(

@@ -554,8 +554,7 @@ class RATApp:
             "elapsed_s": result.elapsed_s,
             "points_per_sec": result.points_per_sec,
             "failed_points": result.n_failed,
-            "failures": [f.describe() for f in result.failures]
-            + [f.describe() for f in result.chunk_failures],
+            "failures": [f.describe() for f in result.failures],
             "predictions": [records[i] for i in order],
         })
 

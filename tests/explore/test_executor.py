@@ -1,6 +1,12 @@
-"""Executor tests: chunked explore, process pool, map_designs."""
+"""Executor tests: chunked in-process explore, map_designs and its pool."""
 
 import dataclasses
+import gc
+import inspect
+import multiprocessing.process
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from repro.explore import (
     MapResult,
     RetryPolicy,
     explore,
+    executor,
     map_designs,
 )
 from repro.obs import configure, get_metrics, get_tracer, reset
@@ -59,13 +66,6 @@ class TestExplore:
                 predict(rat, BufferingMode.DOUBLE).t_rc, rel=1e-12
             )
 
-    def test_parallel_equals_serial(self, pdf1d_rat):
-        space = _space(pdf1d_rat, 24)
-        serial = explore(space, chunk_size=6)
-        parallel = explore(space, chunk_size=6, workers=2)
-        assert (serial.prediction.speedup == parallel.prediction.speedup).all()
-        assert (serial.prediction.t_rc == parallel.prediction.t_rc).all()
-
     def test_best(self, pdf1d_rat):
         space = DesignSpace.grid(pdf1d_rat, clock_mhz=[75, 150, 100])
         point, prediction = explore(space).best()
@@ -84,8 +84,26 @@ class TestExplore:
         space = _space(simple_rat, 4)
         with pytest.raises(ParameterError, match="chunk_size"):
             explore(space, chunk_size=0)
-        with pytest.raises(ParameterError, match="workers"):
-            explore(space, workers=-1)
+
+    def test_runs_in_process(self, pdf1d_rat, tmp_path, monkeypatch):
+        assert list(inspect.signature(explore).parameters) == [
+            "space", "mode", "chunk_size", "on_error", "checkpoint", "resume",
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("explore() left the calling process")
+
+        monkeypatch.setattr(executor, "run_chunks", forbidden)
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", forbidden
+        )
+        space = _space(pdf1d_rat, 12)
+        for on_error in ("fail", "skip", "quarantine"):
+            result = explore(
+                space, chunk_size=4, on_error=on_error,
+                checkpoint=tmp_path / f"{on_error}.jsonl",
+            )
+            assert len(result) == 12
 
     def test_metrics(self, simple_rat):
         metrics = get_metrics()
@@ -97,15 +115,17 @@ class TestExplore:
 
 
 class TestWorkerSemantics:
+    """map_designs' ``workers`` knob (explore has no pool)."""
+
     def test_workers_zero_means_one_per_core(self, pdf1d_rat):
         space = _space(pdf1d_rat, 18)
-        serial = explore(space, chunk_size=6)
-        auto = explore(space, chunk_size=6, workers=0)
-        assert (serial.prediction.t_rc == auto.prediction.t_rc).all()
+        serial = map_designs(space, _t_rc_single, chunk_size=6)
+        auto = map_designs(space, _t_rc_single, chunk_size=6, workers=0)
+        assert auto == serial
 
     def test_negative_workers_rejected(self, simple_rat):
         with pytest.raises(ParameterError, match="workers"):
-            explore(_space(simple_rat, 4), workers=-2)
+            map_designs(_space(simple_rat, 4), _t_rc_single, workers=-2)
 
 
 class TestThroughputClamp:
@@ -145,10 +165,13 @@ class TestChunkObservability:
         assert all("synthetic" not in s.attributes for s in chunks)
 
     def test_pool_chunks_record_synthetic_spans(self, pdf1d_rat):
-        # Worker-evaluated chunks cannot span in the parent; the worker
-        # returns its elapsed time and the parent re-emits it.
+        # map_designs chunks evaluated in workers cannot span in the
+        # parent; the worker returns its elapsed time and the parent
+        # re-emits it.
         configure(trace=True)
-        explore(_space(pdf1d_rat, 12), chunk_size=4, workers=2)
+        map_designs(
+            _space(pdf1d_rat, 12), _t_rc_single, chunk_size=4, workers=2
+        )
         chunks = [
             s for s in get_tracer().spans if s.name == "explore.chunk"
         ]
@@ -160,23 +183,26 @@ class TestChunkObservability:
     def test_chunk_seconds_histogram_fed_on_pool_path(self, pdf1d_rat):
         histogram = get_metrics().histogram("explore.chunk_seconds")
         before = histogram.count
-        explore(_space(pdf1d_rat, 12), chunk_size=4, workers=2)
+        map_designs(
+            _space(pdf1d_rat, 12), _t_rc_single, chunk_size=4, workers=2
+        )
         assert histogram.count == before + 3
 
 
 class TestExploreFaultSurface:
-    def test_fail_raises_exploration_error_with_partial(self, pdf1d_rat):
-        space = _space(pdf1d_rat, 12)
-        with pytest.raises(ExplorationError) as excinfo:
-            explore(
-                space, chunk_size=4,
-                retry=RetryPolicy(max_retries=0, backoff_s=0.0),
-                chunk_fn=faults.raising_chunk,
-            )
-        error = excinfo.value
-        assert len(error.chunk_failures) == 1
-        assert error.chunk_failures[0].lo == 0
-        assert error.partial is not None
+    def test_kernel_exception_propagates(self, pdf1d_rat, monkeypatch):
+        # Vetted rows cannot make the kernel raise, so explore() neither
+        # retries nor wraps what it raises.
+        calls = []
+
+        def broken(batch, mode, out):
+            calls.append(len(batch))
+            raise RuntimeError("injected kernel failure")
+
+        monkeypatch.setattr(executor, "_predict_into", broken)
+        with pytest.raises(RuntimeError, match="injected kernel failure"):
+            explore(_space(pdf1d_rat, 12), chunk_size=4)
+        assert calls == [4]
 
     def test_unknown_on_error_rejected(self, simple_rat):
         with pytest.raises(ParameterError, match="on_error"):
@@ -209,6 +235,60 @@ class TestMapDesigns:
             map_designs(space, _t_rc_single, workers=-1)
         with pytest.raises(ParameterError, match="chunk_size"):
             map_designs(space, _t_rc_single, chunk_size=0)
+
+    def test_concurrent_runs_keep_their_own_space_and_evaluator(
+        self, pdf1d_rat
+    ):
+        # Every evaluator call waits for one call from each thread, so
+        # the runs advance in lockstep: all of them are past their
+        # start before any evaluates its second chunk.
+        threads = 4
+        barrier = threading.Barrier(threads, timeout=30)
+
+        def tagged(tag):
+            def evaluate(rat):
+                barrier.wait()
+                return tag, rat.computation.clock_hz
+            return evaluate
+
+        spaces = [
+            DesignSpace.grid(
+                pdf1d_rat, clock_mhz=[100.0 + 10 * t + k for k in range(8)]
+            )
+            for t in range(threads)
+        ]
+        results = [None] * threads
+
+        def run(t):
+            results[t] = map_designs(spaces[t], tagged(t), chunk_size=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=run, args=(t,))
+                for t in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for t, space in enumerate(spaces):
+            expected = [
+                (t, rat.computation.clock_hz) for rat in space.designs()
+            ]
+            assert results[t] == expected
+
+    def test_finished_run_releases_its_space(self, pdf1d_rat):
+        space = _space(pdf1d_rat, 6)
+        assert len(map_designs(space, _t_rc_single, chunk_size=2)) == 6
+        released = weakref.ref(space)
+        del space
+        gc.collect()
+        assert released() is None
 
 
 class TestMapDesignsFaults:
@@ -290,18 +370,15 @@ BATCH_COLUMNS = (
 )
 
 
-def _parity_space(base, bad=(), marker=None):
+def _parity_space(base, bad=()):
     """``N`` points over clock x alpha; the other columns stay constant.
 
-    Rows in ``bad`` get an invalid clock, row ``marker`` the FAIL_HZ
-    clock that ``faults.failing_marker_chunk`` always fails on.
+    Rows in ``bad`` get an invalid clock.
     """
     values = DesignSpace.random(
         base, N, seed=3, clock_mhz=(50, 300), alpha=(0.1, 0.9)
     ).values.copy()
     values[list(bad), 0] = -1.0
-    if marker is not None:
-        values[marker, 0] = faults.FAIL_HZ / 1e6
     return DesignSpace(base=base, axes=("clock_mhz", "alpha"), values=values)
 
 
@@ -314,12 +391,11 @@ class TestResultColumns:
     """Every chunk lands in its slice of the call's result columns."""
 
     @pytest.mark.parametrize("mode", list(BufferingMode))
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_row_matches_scalar(self, pdf1d_rat, workers, mode):
+    def test_every_row_matches_scalar(self, pdf1d_rat, mode):
         space = _parity_space(pdf1d_rat)
         batch = space.to_batch()
         assert len(batch.broadcast) == 8  # clock and both alphas vary
-        result = explore(space, mode, chunk_size=CHUNK, workers=workers)
+        result = explore(space, mode, chunk_size=CHUNK)
         assert_matches_scalar(batch, mode, result.prediction)
 
     def test_quarantined_points_are_nan_rows(self, pdf1d_rat):
@@ -334,34 +410,6 @@ class TestResultColumns:
         assert_explore_rows_match_scalar(
             result, np.setdiff1d(np.arange(N), bad)
         )
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("on_error", ["quarantine", "skip"])
-    def test_always_failing_chunk(self, pdf1d_rat, on_error, workers):
-        bad = [2, CHUNK + 5]
-        # Design CHUNK + 9 is evaluated as row CHUNK + 7 once the two
-        # bad designs before it are quarantined: chunk 1 fails.
-        space = _parity_space(pdf1d_rat, bad, marker=CHUNK + 9)
-        result = explore(
-            space, chunk_size=CHUNK, workers=workers, on_error=on_error,
-            retry=RetryPolicy(max_retries=0, backoff_s=0.0),
-            chunk_fn=faults.failing_marker_chunk,
-        )
-        [failure] = result.chunk_failures
-        assert (failure.index, failure.lo, failure.hi) == (1, CHUNK, 2 * CHUNK)
-        assert result.n_failed == len(bad) + CHUNK
-        valid = np.setdiff1d(np.arange(N), bad)
-        lost = valid[CHUNK:2 * CHUNK]
-        survivors = np.setdiff1d(valid, lost)
-        if on_error == "skip":
-            assert result.indices.tolist() == survivors.tolist()
-            assert_explore_rows_match_scalar(
-                result, np.arange(len(survivors))
-            )
-        else:
-            assert len(result) == N
-            _assert_nan_rows(result, np.union1d(bad, lost))
-            assert_explore_rows_match_scalar(result, survivors)
 
     @pytest.mark.parametrize("on_error", ["quarantine", "skip"])
     def test_every_point_quarantined(self, pdf1d_rat, on_error):
@@ -378,8 +426,8 @@ class TestResultColumns:
             _assert_nan_rows(result, np.arange(N))
 
     @pytest.mark.parametrize("kwargs", [
-        {}, {"workers": 2}, {"on_error": "quarantine"}, {"on_error": "skip"},
-    ], ids=["serial", "workers2", "quarantine", "skip"])
+        {}, {"on_error": "quarantine"}, {"on_error": "skip"},
+    ], ids=["serial", "quarantine", "skip"])
     def test_columns_writable_and_unshared(self, pdf1d_rat, kwargs):
         bad = [3] if "on_error" in kwargs else []
         space = _parity_space(pdf1d_rat, bad)

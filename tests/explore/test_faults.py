@@ -1,5 +1,9 @@
 """Fault-injection suite: crashing workers, hung chunks, killed runs.
 
+Only :func:`run_chunks` and :func:`map_designs` run chunks in a process
+pool, so only they meet crashed or hung workers; :func:`explore` meets
+a killed run, covered by the checkpoint test at the end.
+
 These tests crash and hang real worker processes on purpose, so they are
 marked ``faults`` (deselect with ``-m "not faults"``).  Timings are kept
 small: the slowest path is one pool-termination cycle per injected hang.
@@ -13,7 +17,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.explore import DesignSpace, RetryPolicy, explore, run_chunks
+from repro.explore import (
+    DesignSpace,
+    RetryPolicy,
+    explore,
+    map_designs,
+    run_chunks,
+)
 
 from . import faults
 
@@ -111,85 +121,46 @@ class TestHangDetection:
         assert report.retries >= 1
 
 
-class TestExploreUnderFaults:
-    def test_acceptance_crash_hang_and_invalid_designs(
-        self, tmp_path, pdf1d_rat
-    ):
-        """The issue's acceptance scenario, scaled to test time.
+class TestMapDesignsUnderFaults:
+    def test_acceptance_crash_and_hang(self, tmp_path, pdf1d_rat):
+        """A pool run survives one crashed and one hung worker.
 
-        A 100k-point sweep with 1% invalid designs, one chunk whose
-        first evaluation crashes its worker, and one chunk whose first
-        evaluation hangs, must complete under ``on_error="quarantine"``
-        reporting exactly the injected failures — and the surviving
-        rows must match a clean serial run bitwise.
+        The evaluator crashes its worker on the first evaluation of one
+        design and hangs on the first evaluation of another.  The run
+        must complete under ``on_error="quarantine"`` with no failed
+        chunk, and its results must equal a clean serial run's.
+        Invalid designs fail their chunk here; row quarantine is
+        covered in ``test_quarantine.py``.
         """
-        n = 100_000
+        n = 20_000
         rng = np.random.default_rng(42)
         clocks = rng.uniform(50.0, 300.0, size=n)
-        clocks[::100] = 0.0  # 1% invalid designs
         clocks[150] = faults.CRASH_HZ / 1e6  # in the first chunk
         clocks[12_345] = faults.HANG_HZ / 1e6
         space = DesignSpace(
             base=pdf1d_rat, axes=("clock_mhz",), values=clocks.reshape(-1, 1)
         )
-        result = explore(
+        result = map_designs(
             space,
-            chunk_size=5_000,
-            workers=2,
-            on_error="quarantine",
-            retry=_fast_policy(max_retries=2, timeout_s=2.0),
-            chunk_fn=partial(
-                faults.faulty_chunk,
+            partial(
+                faults.faulty_eval,
                 crash_token=str(tmp_path / "crash.token"),
                 hang_token=str(tmp_path / "hang.token"),
             ),
+            chunk_size=1_000,
+            workers=2,
+            on_error="quarantine",
+            retry=_fast_policy(max_retries=2, timeout_s=2.0),
+            detail=True,
         )
-        # Exactly the 1000 injected invalid designs are quarantined.
-        assert len(result) == n
-        assert len(result.failures) == 1000
-        assert {f.index for f in result.failures} == set(range(0, n, 100))
-        assert all(f.parameter == "clock_hz" for f in result.failures)
+        assert (tmp_path / "crash.token").exists()
+        assert (tmp_path / "hang.token").exists()
         assert result.chunk_failures == ()  # crash + hang both recovered
         assert result.retries >= 1
         assert not result.degraded
-        assert np.isnan(result.prediction.speedup[::100]).all()
-        # Surviving rows are bitwise identical to a clean serial run.
-        clean = explore(space, chunk_size=5_000, on_error="quarantine")
-        assert (
-            result.prediction.speedup.tobytes()
-            == clean.prediction.speedup.tobytes()
-        )
-
-    def test_exhausted_chunk_quarantines_its_rows(self, pdf1d_rat):
-        space = DesignSpace.grid(
-            pdf1d_rat, clock_mhz=[float(c) for c in range(75, 115, 5)]
-        )
-        result = explore(
-            space, chunk_size=4, on_error="quarantine",
-            retry=_fast_policy(max_retries=0),
-            chunk_fn=faults.raising_chunk,
-        )
-        assert len(result.chunk_failures) == 2
-        assert result.n_failed == 8
-        assert np.isnan(result.prediction.speedup).all()
-
-    def test_transient_chunk_failure_retries_to_success(
-        self, tmp_path, pdf1d_rat
-    ):
-        space = DesignSpace.grid(pdf1d_rat, clock_mhz=[75.0, 100.0, 150.0])
-        result = explore(
-            space, chunk_size=10, retry=_fast_policy(),
-            chunk_fn=partial(
-                faults.flaky_chunk, token=str(tmp_path / "flaky.token")
-            ),
-        )
-        assert result.retries == 1
-        assert result.chunk_failures == ()
-        clean = explore(space, chunk_size=10)
-        assert (
-            result.prediction.t_rc.tobytes()
-            == clean.prediction.t_rc.tobytes()
-        )
+        assert result.indices.tolist() == list(range(n))
+        clean = map_designs(space, faults.t_rc_eval, chunk_size=1_000)
+        assert result.results == clean
 
 
 class TestKilledRunResume:
@@ -204,20 +175,25 @@ class TestKilledRunResume:
         """
         journal = tmp_path / "killed.jsonl"
         script = f"""
+import os
 import sys
-from functools import partial
-sys.path[:0] = {[p for p in [os.path.join(_REPO, "src"), _REPO]]!r}
+sys.path.insert(0, {os.path.join(_REPO, "src")!r})
 import numpy as np
+import repro.explore.executor as executor
 from repro.apps.registry import get_case_study
 from repro.explore import explore, DesignSpace
-from tests.explore.faults import kill_parent_chunk
+kernel = executor._predict_into
+def kill_on_marker(batch, mode, out):
+    if (batch.clock_hz == 333.5e6).any():
+        os._exit(1)
+    kernel(batch, mode, out)
+executor._predict_into = kill_on_marker
 base = get_case_study("pdf1d").rat
 clocks = np.linspace(50.0, 300.0, 50)
-clocks[32] = 333.5  # KILL_PARENT_HZ marker: dies in chunk 6 of 10
+clocks[32] = 333.5  # the kill marker: dies in chunk 6 of 10
 space = DesignSpace(base=base, axes=("clock_mhz",),
                     values=clocks.reshape(-1, 1))
-explore(space, chunk_size=5, checkpoint={str(journal)!r},
-        chunk_fn=kill_parent_chunk)
+explore(space, chunk_size=5, checkpoint={str(journal)!r})
 """
         proc = subprocess.run(
             [sys.executable, "-c", script],

@@ -13,7 +13,7 @@ from repro.explore import (
     quarantine_rows,
     run_chunks,
 )
-from repro.explore.runtime import check_on_error, with_bounds
+from repro.explore.runtime import check_on_error
 
 from . import faults
 
@@ -87,15 +87,8 @@ class TestFailureRecords:
             "chunk 2 rows [20, 30): RuntimeError after 3 attempt(s): boom"
         )
 
-    def test_with_bounds_annotates(self):
-        failures = [
-            ChunkFailure(index=1, reason="x", error_type="E", attempts=1)
-        ]
-        annotated = with_bounds(failures, [(0, 5), (5, 9)])
-        assert (annotated[0].lo, annotated[0].hi) == (5, 9)
-
     def test_exploration_error_is_a_rat_error(self):
-        error = ExplorationError("boom", failures=(), chunk_failures=())
+        error = ExplorationError("boom", chunk_failures=())
         assert isinstance(error, RATError)
         assert isinstance(error, RuntimeError)
 

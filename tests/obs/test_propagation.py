@@ -56,13 +56,6 @@ class TestTraceContext:
         assert child.span_id != SPAN
         assert child.baggage == {"tenant": "a"}
 
-    def test_dict_round_trip(self):
-        ctx = TraceContext(TRACE, SPAN, {"k": "v"})
-        assert TraceContext.from_dict(ctx.to_dict()) == ctx
-
-    def test_to_dict_omits_empty_baggage(self):
-        assert "baggage" not in TraceContext(TRACE, SPAN).to_dict()
-
 
 class TestTraceparent:
     def test_round_trip(self):

@@ -333,18 +333,6 @@ class TestExploreCommand:
                      "--axis", "warp=1,2"]) == 2
         assert "unknown design axis" in capsys.readouterr().err
 
-    def test_workers_and_chunk_flags(self, capsys):
-        assert main(["explore", "--study", "md",
-                     "--axis", "clock_mhz=75,100,150,200",
-                     "--workers", "2", "--chunk", "2"]) == 0
-        assert "4 point(s)" in capsys.readouterr().out
-
-    def test_workers_zero_means_per_core(self, capsys):
-        assert main(["explore", "--study", "pdf1d",
-                     "--axis", "clock_mhz=75,100,150",
-                     "--workers", "0"]) == 0
-        assert "3 point(s)" in capsys.readouterr().out
-
     def test_quarantine_reports_failures(self, capsys):
         assert main(["explore", "--study", "pdf1d",
                      "--axis", "clock_mhz=0,100,150",
@@ -386,13 +374,6 @@ class TestExploreCommand:
         assert main(["explore", "--study", "pdf1d",
                      "--axis", "clock_mhz=100,150", "--resume"]) == 2
         assert "checkpoint" in capsys.readouterr().err
-
-    def test_retry_flags_accepted(self, capsys):
-        assert main(["explore", "--study", "pdf1d",
-                     "--axis", "clock_mhz=100,150",
-                     "--max-retries", "3", "--timeout", "30",
-                     "--on-error", "skip"]) == 0
-        assert "2 point(s)" in capsys.readouterr().out
 
 
 class TestPlatformsJson:

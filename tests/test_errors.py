@@ -59,25 +59,17 @@ class TestHierarchy:
 
 class TestPickleRoundTrips:
     """Errors and failure records cross process boundaries in pool mode
-    (``explore(workers=N)``); every payload field must survive pickling."""
+    (``map_designs(workers=N)``); every payload field must survive
+    pickling."""
 
     def test_exploration_error_full_payload(self):
         import pickle
 
         from repro.errors import ExplorationError
-        from repro.explore.runtime import ChunkFailure, PointFailure
+        from repro.explore.runtime import ChunkFailure
 
         original = ExplorationError(
             "3 of 9 chunks failed",
-            failures=(
-                PointFailure(
-                    index=4,
-                    parameter="alpha_write",
-                    value=-0.5,
-                    reason="alpha_write must be in (0, 1], got -0.5",
-                    point={"clock_mhz": 150.0},
-                ),
-            ),
             chunk_failures=(
                 ChunkFailure(
                     index=2,
@@ -93,11 +85,10 @@ class TestPickleRoundTrips:
         restored = pickle.loads(pickle.dumps(original))
         assert type(restored) is ExplorationError
         assert str(restored) == str(original)
-        assert restored.failures == original.failures
         assert restored.chunk_failures == original.chunk_failures
         assert restored.partial == original.partial
-        assert restored.failures[0].describe() == (
-            original.failures[0].describe()
+        assert restored.chunk_failures[0].describe() == (
+            original.chunk_failures[0].describe()
         )
 
     def test_exploration_error_defaults(self):
@@ -107,7 +98,6 @@ class TestPickleRoundTrips:
 
         restored = pickle.loads(pickle.dumps(ExplorationError("boom")))
         assert str(restored) == "boom"
-        assert restored.failures == ()
         assert restored.chunk_failures == ()
         assert restored.partial is None
 
