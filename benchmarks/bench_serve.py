@@ -1,7 +1,7 @@
 """Load benchmark for the ``repro.serve`` prediction service.
 
-Three measurements, all recorded into the session perf record
-(``BENCH_PR<N>.json``, see ``conftest.BENCH_RECORD``):
+Four measurements, all recorded into the session record
+(``benchmarks/results/bench-session.json``, see ``conftest.BENCH_RECORD``):
 
 * **Micro-batching win** (the PR's acceptance criterion): the same
   request stream driven through the application layer at concurrency 64,
@@ -24,7 +24,7 @@ Three measurements, all recorded into the session perf record
   ratios ``serve.shard_scaling_2x`` / ``_4x`` / ``_8x``.  The >= 1.5x
   2-shard floor is asserted only on machines with >= 2 CPUs — on a
   single-core box every shard multiplexes one core and the honest
-  curve is flat (~1.0x), which the committed record preserves rather
+  curve is flat (~1.0x), which the session record preserves rather
   than hides.
 * **Autoscale trace**: a ``--max-shards`` cluster under a queue-depth
   load step — shard count and smoothed queue depth sampled over time
@@ -319,8 +319,8 @@ def test_autoscale_trace(show):
     rise while the step is applied and settle back to ``min_shards``
     at idle, with every request answered (``_http_load`` asserts each
     response) and zero crash-restarts.  The sampled (time, shards,
-    depth-EWMA) trace and per-step RPS land in the perf record so the
-    committed curve shows when capacity arrived and left."""
+    depth-EWMA) trace and per-step RPS land in the session record so
+    the curve shows when capacity arrived and left."""
     supervisor = Supervisor(
         shards=1,
         min_shards=1,

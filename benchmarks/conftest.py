@@ -6,17 +6,14 @@ and prints the reproduced rows (run with ``-s`` to see them beside the
 paper's values).  Correctness is asserted via the registry's tolerance
 machinery so a benchmark run doubles as a reproduction check.
 
-Every benchmark session also writes a machine-readable perf record,
-``BENCH_PR1.json`` at the repo root, through the observability layer's
-metrics registry: per-test wall time and reproduction-tolerance pass/fail
-plus the library's own experiment metrics (``experiment.wall_s``,
-``experiment.rel_error``, ...).  Committed records give future PRs a perf
-trajectory to diff against.
-
-Alongside the record, the session writes a ``rat-run-manifest/v1``
-document to ``benchmarks/results/`` (git SHA, platform fingerprint,
-flattened metrics) — the input ``rat bench report`` ratchets against the
-committed trajectory, and the artefact CI uploads.
+The benchmarks' own assertions are their perf floors; the regression
+gate across commits is the repository benchmark (``ratbench/``, declared
+in ``BENCHMARK.json``).  Every benchmark session also writes one
+machine-readable record, ``benchmarks/results/bench-session.json``
+(gitignored; CI uploads it): per-test wall time and pass/fail, the
+gauges benchmarks record through :func:`record_gauge`, and the
+library's own metrics (``experiment.wall_s``, ``experiment.rel_error``,
+...).
 """
 
 from __future__ import annotations
@@ -30,12 +27,11 @@ import pytest
 
 from repro.obs import MetricsRegistry
 
-#: Schema/file name for this PR's perf record.  Future PRs bump the
-#: suffix (BENCH_PR3.json, ...) so the trajectory accumulates in-tree.
-BENCH_RECORD = pathlib.Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
-
-#: Per-run manifests land here (gitignored; CI uploads them as artifacts).
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
+#: The per-session record (under a gitignored directory, so a benchmark
+#: run leaves the worktree clean).
+BENCH_RECORD = (
+    pathlib.Path(__file__).resolve().parent / "results" / "bench-session.json"
+)
 
 #: Session-local registry: isolated from the process-global one so a
 #: benchmark run's record is not polluted by unrelated library use.
@@ -43,11 +39,10 @@ _registry = MetricsRegistry()
 
 
 def record_gauge(name: str, value: float) -> None:
-    """Record a benchmark-computed measurement into the perf record.
+    """Record a benchmark-computed measurement into the session record.
 
     For numbers the harness cannot see from wall time alone — throughput
-    ratios, points/sec — so they land in ``BENCH_PR2.json`` next to the
-    per-test timings.
+    ratios, points/sec — so they land next to the per-test timings.
     """
     _registry.gauge(name).set(value)
 
@@ -76,7 +71,7 @@ def pytest_runtest_logreport(report: pytest.TestReport) -> None:
 
 
 def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
-    """Write the perf record after every benchmark session."""
+    """Write the session record after every benchmark session."""
     if _registry.counter("bench.total").value == 0:
         return  # collection-only / filtered run: nothing to record
     # Fold in the library's own per-experiment metrics (wall times and
@@ -85,25 +80,12 @@ def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
 
     record = {
         "schema": "rat-bench-record/v1",
-        "record": BENCH_RECORD.name,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "exit_status": int(exitstatus),
         "metrics": _registry.as_dict(),
         "library_metrics": get_metrics().as_dict(),
     }
+    BENCH_RECORD.parent.mkdir(parents=True, exist_ok=True)
     BENCH_RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote perf record: {BENCH_RECORD}", file=sys.stderr)
-    # The ratchet-ready manifest: same metrics (session gauges win over
-    # library ones on name collision), plus provenance.
-    from repro.obs.manifest import build_manifest, write_manifest
-
-    merged = {**get_metrics().as_dict(), **_registry.as_dict()}
-    manifest = build_manifest(
-        merged,
-        label="bench-session",
-        config={"exit_status": int(exitstatus)},
-        root=BENCH_RECORD.parent,
-    )
-    manifest_path = write_manifest(manifest, RESULTS_DIR)
-    print(f"wrote run manifest: {manifest_path}", file=sys.stderr)
+    print(f"\nwrote bench record: {BENCH_RECORD}", file=sys.stderr)

@@ -46,12 +46,6 @@ Subcommands
     autoscaling between the ``--min-shards`` floor and N
     (``--scale-up-depth`` / ``--scale-down-depth`` hysteresis,
     ``--scale-cooldown`` between actions).
-``rat bench report --manifest FILE [--baseline FILE] [--threshold PCT]``
-    The perf-regression ratchet: diff a run manifest against a baseline
-    (default: the newest committed ``BENCH_PR*.json`` record) over the
-    guarded metric set and exit nonzero on any regression beyond the
-    threshold.  ``--inject FRAC`` adversarially degrades the current
-    metrics first — CI uses it to prove the gate trips.
 
 Global observability flags (any subcommand): ``--trace FILE`` records
 wall-clock spans of the run itself and writes a Chrome trace; ``--metrics
@@ -320,13 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="coalescing window in microseconds (default 200; 0 disables)",
     )
     srv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="micro-batcher consumer tasks (default 1)",
-    )
-    srv.add_argument(
         "--max-pending",
         type=int,
         default=1024,
@@ -443,56 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the aggregated cluster /metrics (and JSON /status) "
         "from the supervisor on this port (0 picks an ephemeral "
         "port, printed at startup; omit to disable)",
-    )
-
-    bench = sub.add_parser("bench", help="benchmark/perf tooling")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_report = bench_sub.add_parser(
-        "report",
-        help="perf-regression ratchet: diff a run manifest against the "
-        "committed trajectory; nonzero exit on regression",
-    )
-    bench_report.add_argument(
-        "--manifest",
-        default="",
-        metavar="FILE",
-        help="the current run's manifest (rat-run-manifest/v1); "
-        "required unless --history",
-    )
-    bench_report.add_argument(
-        "--history",
-        action="store_true",
-        help="render the whole committed BENCH_PR*.json trajectory as a "
-        "per-metric table instead of ratcheting one manifest",
-    )
-    bench_report.add_argument(
-        "--baseline",
-        default="",
-        metavar="FILE",
-        help="baseline manifest or BENCH_PR*.json record (default: the "
-        "newest BENCH_PR*.json under --root)",
-    )
-    bench_report.add_argument(
-        "--root",
-        default=".",
-        metavar="DIR",
-        help="directory holding the BENCH_PR*.json trajectory (default .)",
-    )
-    bench_report.add_argument(
-        "--threshold",
-        type=float,
-        default=15.0,
-        metavar="PCT",
-        help="regression tolerance in percent (default 15)",
-    )
-    bench_report.add_argument(
-        "--inject",
-        type=float,
-        default=0.0,
-        metavar="FRAC",
-        help="adversarially degrade current metrics by this fraction "
-        "before comparing (0.2 = fake a 20%% regression; CI gate "
-        "self-test)",
     )
 
     return parser
@@ -883,7 +820,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scale_cooldown_s=args.scale_cooldown,
             max_batch_size=args.max_batch,
             max_wait_us=args.max_wait_us,
-            workers=args.workers,
             max_pending=args.max_pending,
             default_deadline_s=(
                 args.deadline_ms * 1e-3 if args.deadline_ms > 0 else None
@@ -897,7 +833,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_batch_size=args.max_batch,
         max_wait_us=args.max_wait_us,
-        workers=args.workers,
         max_pending=args.max_pending,
         default_deadline_s=(
             args.deadline_ms * 1e-3 if args.deadline_ms > 0 else None
@@ -906,48 +841,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         access_log=args.access_log,
     ))
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .obs.manifest import (
-        compare,
-        load_manifest,
-        load_trajectory,
-        render_history,
-    )
-
-    if args.history:
-        print(render_history(args.root))
-        return 0
-    if not args.manifest:
-        print(
-            "error: --manifest is required (or pass --history for the "
-            "trajectory table)",
-            file=sys.stderr,
-        )
-        return 2
-    current = load_manifest(args.manifest)
-    if args.baseline:
-        baseline = load_manifest(args.baseline)
-    else:
-        trajectory = load_trajectory(args.root)
-        if not trajectory:
-            print(
-                f"error: no BENCH_PR*.json trajectory records under "
-                f"{args.root!r}; pass --baseline explicitly",
-                file=sys.stderr,
-            )
-            return 2
-        _, baseline_path, baseline = trajectory[-1]
-        print(f"baseline: {baseline_path}", file=sys.stderr)
-    report = compare(
-        current,
-        baseline,
-        threshold=args.threshold / 100.0,
-        inject=args.inject,
-    )
-    print(report.render())
-    return 1 if report.failed else 0
 
 
 def _export_observability(args: argparse.Namespace) -> None:
@@ -985,7 +878,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "explore": _cmd_explore,
         "platforms": _cmd_platforms,
         "serve": _cmd_serve,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)

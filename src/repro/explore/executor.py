@@ -39,10 +39,12 @@ Fault tolerance (see :mod:`repro.explore.runtime` for the machinery):
 
 Observability: each call runs under an ``explore.run`` (or
 ``explore.map_designs``) span, and every chunk records an
-``explore.chunk`` span.  An :func:`explore` chunk's span encloses its
-kernel call.  :func:`map_designs` chunks may run in worker processes,
-so each returns its elapsed time and the parent re-emits a synthetic
-span carrying it (``synthetic: True``), so pool runs are not blind.
+``explore.chunk`` span.  A chunk evaluated in the calling process
+(every :func:`explore` chunk; a :func:`map_designs` chunk run serially
+or after degradation) has a span that encloses its work.  A
+:func:`map_designs` chunk evaluated in a pool worker returns its elapsed
+time and the parent re-emits a synthetic span carrying it
+(``synthetic: True``), so pool runs are not blind.
 ``explore.points`` counts evaluated designs, ``explore.chunk_seconds``
 aggregates per-chunk latency, ``explore.retries`` /
 ``explore.failed_points`` / ``explore.failed_chunks`` /
@@ -71,7 +73,7 @@ from ..core.buffering import BufferingMode
 from ..core.params import RATInput
 from ..core.throughput import ThroughputPrediction
 from ..errors import ExplorationError, ParameterError
-from ..obs import get_metrics, get_tracer
+from ..obs import NOOP_SPAN, get_metrics, get_tracer
 from .checkpoint import ChunkJournal, run_key
 from .runtime import (
     ChunkFailure,
@@ -189,8 +191,8 @@ def _effective_workers(workers: int) -> int:
     return workers
 
 
-#: The ``(space, evaluator)`` of the map_designs run whose chunks this
-#: thread evaluates.  A pool worker gets it once from
+#: The ``(space, evaluator, in_process)`` of the map_designs run whose
+#: chunks this thread evaluates.  A pool worker gets it once from
 #: :func:`_map_worker_init`, so the (potentially large) design space
 #: pickles into each worker at pool start instead of into every task,
 #: and runs its tasks on the thread that ran the initializer.  An
@@ -201,34 +203,35 @@ _map_state = threading.local()
 
 
 def _map_worker_init(space: DesignSpace, evaluator: Callable) -> None:
-    _map_state.run = (space, evaluator)
+    _map_state.run = (space, evaluator, False)
 
 
-def _map_chunk(bounds: tuple[int, int]) -> tuple[float, list[Any]]:
-    """map_designs chunk: evaluate designs ``lo..hi`` of this thread's run."""
+def _map_chunk(task: tuple[int, int, int]) -> tuple[float, list[Any], bool]:
+    """map_designs chunk ``index``: evaluate designs ``lo..hi`` of this run.
+
+    Returns ``(elapsed_s, results, spanned)``.  In the calling process
+    the ``explore.chunk`` span encloses the evaluator work (a failed
+    attempt's span carries the error); a pool worker's spans cannot
+    reach the parent's tracer, so it returns ``spanned=False`` and the
+    parent re-emits a synthetic span.
+    """
     run = getattr(_map_state, "run", None)
     assert run is not None, "worker initializer did not run"
-    space, evaluator = run
-    lo, hi = bounds
-    started = time.perf_counter()
-    results = [evaluator(space.design(i)) for i in range(lo, hi)]
-    return time.perf_counter() - started, results
-
-
-def _emit_chunk_observability(index: int, size: int, elapsed: float) -> None:
-    """Parent-side chunk span + latency metric for a map_designs chunk.
-
-    Chunks evaluated in worker processes cannot record spans in the
-    parent's tracer, so every chunk returns its elapsed time and the
-    parent emits a *synthetic* ``explore.chunk`` span carrying it — the
-    span's own duration is ~0; read ``elapsed_s`` for the real timing.
-    """
-    attributes = {
-        "chunk": index, "size": size, "elapsed_s": elapsed, "synthetic": True
-    }
-    with get_tracer().span("explore.chunk", attributes, "explore"):
-        pass
-    get_metrics().histogram("explore.chunk_seconds").observe(elapsed)
+    space, evaluator, in_process = run
+    index, lo, hi = task
+    span = (
+        get_tracer().span(
+            "explore.chunk", {"chunk": index, "size": hi - lo}, "explore"
+        )
+        if in_process
+        else NOOP_SPAN
+    )
+    with span:
+        started = time.perf_counter()
+        results = [evaluator(space.design(i)) for i in range(lo, hi)]
+        elapsed = time.perf_counter() - started
+        span.set_attribute("elapsed_s", elapsed)
+    return elapsed, results, in_process
 
 
 def _emit_chunk_failure_span(failure: ChunkFailure) -> None:
@@ -469,12 +472,23 @@ def map_designs(
             )
             resumed = len(slots)
             todo = [i for i in range(len(bounds)) if i not in slots]
+            chunk_seconds = metrics.histogram("explore.chunk_seconds")
 
-            def on_result(position: int, result: tuple[float, list]) -> None:
+            def on_result(
+                position: int, result: tuple[float, list, bool]
+            ) -> None:
                 index = todo[position]
-                elapsed, values = result
+                elapsed, values, spanned = result
                 lo, hi = bounds[index]
-                _emit_chunk_observability(index, hi - lo, elapsed)
+                if not spanned:
+                    # Re-emitted for a pool chunk: the span lasts ~0,
+                    # elapsed_s holds the chunk's real timing.
+                    with tracer.span("explore.chunk", {
+                        "chunk": index, "size": hi - lo,
+                        "elapsed_s": elapsed, "synthetic": True,
+                    }, "explore"):
+                        pass
+                chunk_seconds.observe(elapsed)
                 slots[index] = values
                 if journal is not None:
                     journal.append(
@@ -497,10 +511,10 @@ def map_designs(
             # The serial path and pool degradation run _map_chunk in
             # this thread, so it needs the run's state too.
             previous = getattr(_map_state, "run", None)
-            _map_state.run = (space, evaluator)
+            _map_state.run = (space, evaluator, True)
             try:
                 report = run_chunks(
-                    [bounds[i] for i in todo], _map_chunk,
+                    [(i, *bounds[i]) for i in todo], _map_chunk,
                     workers=pool_workers, policy=policy, on_error=on_error,
                     on_result=on_result,
                     initializer=_map_worker_init, initargs=(space, evaluator),

@@ -26,9 +26,6 @@ realised behaviour can be *observed*.  Three pieces:
 ``promexport``
     The metrics registry rendered in Prometheus text exposition format
     (the serve layer's ``/metrics``).
-``manifest``
-    Run manifests (``rat-run-manifest/v1``) and the perf-regression
-    ratchet behind ``rat bench report``.
 
 Entry points: :func:`get_tracer` / :func:`get_metrics` fetch the
 process-global instances the library's instrumentation records into;
@@ -50,16 +47,6 @@ from .export import (
     write_metrics_summary,
 )
 from .log import configure_logging, event, get_logger, reset_logging
-from .manifest import (
-    RATCHET_METRICS,
-    RatchetMetric,
-    RatchetReport,
-    build_manifest,
-    compare,
-    load_manifest,
-    load_trajectory,
-    write_manifest,
-)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .promexport import (
     merge_snapshots,
@@ -91,9 +78,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NOOP_SPAN",
-    "RATCHET_METRICS",
-    "RatchetMetric",
-    "RatchetReport",
     "SimTrace",
     "Span",
     "TRACK_COMPUTE",
@@ -102,8 +86,6 @@ __all__ = [
     "TRACK_WRITE",
     "TraceContext",
     "Tracer",
-    "build_manifest",
-    "compare",
     "configure",
     "configure_logging",
     "current_context",
@@ -112,8 +94,6 @@ __all__ = [
     "get_logger",
     "get_metrics",
     "get_tracer",
-    "load_manifest",
-    "load_trajectory",
     "merge_snapshots",
     "metrics_summary",
     "new_context",

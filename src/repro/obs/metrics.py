@@ -21,9 +21,10 @@ identical summaries.
 Percentiles are *linearly interpolated* over the retained reservoir
 (numpy's default ``linear`` method, implemented here without the numpy
 dependency).  The earlier nearest-rank rule collapsed adjacent quantiles
-once decimation thinned the reservoir — ``BENCH_PR1.json`` recorded
-``experiment.rel_error`` with p90 == p99 — whereas interpolation keeps
-distinct quantiles distinct as long as the retained samples are.
+once decimation thinned the reservoir — the first committed benchmark
+record (commit a79a307) had ``experiment.rel_error`` with p90 == p99 —
+whereas interpolation keeps distinct quantiles distinct as long as the
+retained samples are.
 
 The batch prediction engine records thousands to millions of
 observations per call; :meth:`Histogram.observe_many` ingests an entire

@@ -151,7 +151,6 @@ class RATApp:
         max_batch_size: int = 64,
         max_wait_us: float = 200.0,
         max_pending: int = 1024,
-        workers: int = 1,
         max_body_bytes: int = 1 << 20,
         max_batch_rows: int = 4096,
         max_explore_points: int = 200_000,
@@ -162,7 +161,6 @@ class RATApp:
             max_batch_size=max_batch_size,
             max_wait_us=max_wait_us,
             max_pending=max_pending,
-            workers=workers,
         )
         self.max_body_bytes = int(max_body_bytes)
         self.max_batch_rows = int(max_batch_rows)

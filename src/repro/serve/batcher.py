@@ -226,9 +226,6 @@ class MicroBatcher:
     coalescing delay — batches still form from whatever is queued when
     the consumer wakes).  ``max_pending`` is the admission bound; beyond
     it, :meth:`submit` raises :class:`AdmissionError` (HTTP 429).
-    ``workers`` is the number of consumer tasks; one is optimal for the
-    pure-numpy prediction path, more only help when a custom evaluator
-    awaits.
     """
 
     def __init__(
@@ -237,7 +234,6 @@ class MicroBatcher:
         max_batch_size: int = 64,
         max_wait_us: float = 200.0,
         max_pending: int = 1024,
-        workers: int = 1,
     ) -> None:
         if max_batch_size < 1:
             raise ParameterError(
@@ -251,15 +247,12 @@ class MicroBatcher:
             raise ParameterError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
         self.max_batch_size = max_batch_size
         self.max_wait_us = max_wait_us
         self.max_pending = max_pending
-        self.workers = workers
         self._pending: deque[_Pending] = deque()
         self._wakeup = asyncio.Event()
-        self._tasks: list[asyncio.Task] = []
+        self._task: asyncio.Task | None = None
         self._closed = False
         self._batch_seconds_ewma = 1e-3
         self.batches = 0
@@ -280,20 +273,17 @@ class MicroBatcher:
     # ---- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the consumer task(s); requires a running event loop."""
-        if self._tasks:
+        """Spawn the consumer task; requires a running event loop."""
+        if self._task is not None:
             return
         self._closed = False
-        self._tasks = [
-            asyncio.create_task(self._consume(), name=f"microbatch-{i}")
-            for i in range(self.workers)
-        ]
+        self._task = asyncio.create_task(self._consume(), name="microbatch")
 
     async def close(self, *, drain: bool = True) -> None:
-        """Stop the consumers; optionally serve what is already queued.
+        """Stop the consumer; optionally serve what is already queued.
 
-        With ``drain=True`` (graceful shutdown) consumers finish every
-        queued request before exiting; with ``drain=False`` queued
+        With ``drain=True`` (graceful shutdown) the consumer finishes
+        every queued request before exiting; with ``drain=False`` queued
         requests fail with a 503-mapped :class:`ServeError`.
         """
         self._closed = True
@@ -305,9 +295,9 @@ class MicroBatcher:
                         ServeError("service is shutting down")
                     )
         self._wakeup.set()
-        for task in self._tasks:
-            await task
-        self._tasks = []
+        if self._task is not None:
+            await self._task
+            self._task = None
         self._depth_gauge()
 
     @property
@@ -317,8 +307,8 @@ class MicroBatcher:
 
     @property
     def running(self) -> bool:
-        """Whether consumer tasks are active."""
-        return bool(self._tasks) and not self._closed
+        """Whether the consumer task is active."""
+        return self._task is not None and not self._closed
 
     @property
     def batch_seconds_ewma(self) -> float:
@@ -357,7 +347,7 @@ class MicroBatcher:
         :class:`AdmissionError` when the queue is full, and
         :class:`DeadlineError` when ``deadline_s`` expires first.
         """
-        if self._closed or not self._tasks:
+        if self._closed or self._task is None:
             raise ServeError("service is shutting down")
         if len(self._pending) >= self.max_pending:
             get_metrics().counter("serve.rejected").inc()

@@ -113,7 +113,6 @@ class ShardConfig:
     max_batch_size: int = 64
     max_wait_us: float = 200.0
     max_pending: int = 1024
-    workers: int = 1
     max_body_bytes: int = 1 << 20
     max_batch_rows: int = 4096
     max_explore_points: int = 200_000
@@ -144,7 +143,6 @@ async def run_shard(config: ShardConfig) -> None:
         max_batch_size=config.max_batch_size,
         max_wait_us=config.max_wait_us,
         max_pending=config.max_pending,
-        workers=config.workers,
         max_body_bytes=config.max_body_bytes,
         max_batch_rows=config.max_batch_rows,
         max_explore_points=config.max_explore_points,

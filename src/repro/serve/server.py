@@ -233,7 +233,6 @@ async def serve(
     max_batch_size: int = 64,
     max_wait_us: float = 200.0,
     max_pending: int = 1024,
-    workers: int = 1,
     max_body_bytes: int = 1 << 20,
     max_batch_rows: int = 4096,
     max_explore_points: int = 200_000,
@@ -259,7 +258,6 @@ async def serve(
         max_batch_size=max_batch_size,
         max_wait_us=max_wait_us,
         max_pending=max_pending,
-        workers=workers,
         max_body_bytes=max_body_bytes,
         max_batch_rows=max_batch_rows,
         max_explore_points=max_explore_points,
@@ -280,15 +278,13 @@ async def serve(
     if not quiet:
         print(
             f"rat serve: listening on http://{server.host}:{server.port} "
-            f"(max_batch={max_batch_size}, max_wait_us={max_wait_us:g}, "
-            f"workers={workers})",
+            f"(max_batch={max_batch_size}, max_wait_us={max_wait_us:g})",
             flush=True,
         )
     event(
         _log, "server.started",
         host=server.host, port=server.port,
         max_batch_size=max_batch_size, max_wait_us=max_wait_us,
-        workers=workers,
     )
     try:
         await server.run()

@@ -77,6 +77,14 @@ from ..obs.promexport import (
 )
 from ..obs.propagation import activate, deactivate, new_context
 from .cluster import ShardConfig, create_listen_socket, reuse_port_supported
+from .protocol import (
+    MAX_HEAD_BYTES,
+    ProtocolError,
+    Response,
+    error_body,
+    format_response,
+    parse_head,
+)
 
 __all__ = ["RestartPolicy", "Shard", "Supervisor", "run_cluster"]
 
@@ -1025,38 +1033,40 @@ class Supervisor:
             scrape.buffer.extend(data)
             if (
                 b"\r\n\r\n" not in scrape.buffer
-                and len(scrape.buffer) < 8192
+                and len(scrape.buffer) <= MAX_HEAD_BYTES
             ):
                 return  # head incomplete; wait for more
         self._finish_scrape(scrape)
+
+    def _scrape_response(self, data: bytes) -> Response:
+        """Answer a scrape from the bytes read: EOF or a full head."""
+        end = data.find(b"\r\n\r\n")
+        if end < 0 and len(data) <= MAX_HEAD_BYTES:
+            return error_body("incomplete request head", 400)
+        if end < 0 or end + 4 > MAX_HEAD_BYTES:
+            return error_body("request head too large", 431)
+        try:
+            method, path, _, _, _ = parse_head(data[:end])
+        except ProtocolError as exc:
+            return error_body(str(exc), exc.status)
+        if method != "GET":
+            return error_body("GET only", 405)
+        if path == "/metrics":
+            return Response(
+                body=self.cluster_metrics_text().encode(),
+                content_type="text/plain; version=0.0.4; charset=utf-8",
+            )
+        if path == "/status":
+            return Response(body=json.dumps(self.status()).encode())
+        return error_body("not found", 404)
 
     def _finish_scrape(self, scrape: _Scrape) -> None:
         with contextlib.suppress(KeyError, ValueError):
             self._selector.unregister(scrape.sock)
         try:
-            head = bytes(scrape.buffer).split(b"\r\n", 1)[0]
-            parts = head.decode("latin-1", "replace").split()
-            method = parts[0] if parts else ""
-            path = (parts[1] if len(parts) > 1 else "").partition("?")[0]
-            ctype = "text/plain; charset=utf-8"
-            if method != "GET":
-                status, body = "405 Method Not Allowed", b"GET only\n"
-            elif path == "/metrics":
-                status = "200 OK"
-                ctype = "text/plain; version=0.0.4; charset=utf-8"
-                body = self.cluster_metrics_text().encode()
-            elif path == "/status":
-                status = "200 OK"
-                ctype = "application/json"
-                body = json.dumps(self.status()).encode()
-            else:
-                status, body = "404 Not Found", b"not found\n"
-            response = (
-                f"HTTP/1.1 {status}\r\n"
-                f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode() + body
+            response = format_response(
+                self._scrape_response(bytes(scrape.buffer)), keep_alive=False
+            )
             # A scrape response is small and the peer is a scraper on
             # localhost: a short blocking send keeps the loop simple.
             scrape.sock.setblocking(True)

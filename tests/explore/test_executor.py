@@ -164,6 +164,22 @@ class TestChunkObservability:
         assert all(s.duration >= s.attributes["elapsed_s"] for s in chunks)
         assert all("synthetic" not in s.attributes for s in chunks)
 
+    def test_serial_map_designs_chunks_record_real_spans(self, pdf1d_rat):
+        # Chunks evaluated in the calling process span the evaluator
+        # work itself; only pool chunks need a re-emitted span.
+        configure(trace=True)
+        histogram = get_metrics().histogram("explore.chunk_seconds")
+        before = histogram.count
+        map_designs(_space(pdf1d_rat, 12), _t_rc_single, chunk_size=4)
+        chunks = [
+            s for s in get_tracer().spans if s.name == "explore.chunk"
+        ]
+        assert [s.attributes["chunk"] for s in chunks] == [0, 1, 2]
+        assert all(s.attributes["elapsed_s"] > 0 for s in chunks)
+        assert all(s.duration >= s.attributes["elapsed_s"] for s in chunks)
+        assert all("synthetic" not in s.attributes for s in chunks)
+        assert histogram.count == before + 3
+
     def test_pool_chunks_record_synthetic_spans(self, pdf1d_rat):
         # map_designs chunks evaluated in workers cannot span in the
         # parent; the worker returns its elapsed time and the parent

@@ -133,7 +133,8 @@ class TestInterpolatedPercentiles:
 
     def test_p90_distinct_from_p99_after_decimation(self):
         # Regression: nearest-rank percentiles collapsed p90 == p99 once
-        # decimation thinned the reservoir (seen in BENCH_PR1.json).
+        # decimation thinned the reservoir (seen in the first committed
+        # benchmark record, commit a79a307).
         histogram = MetricsRegistry().histogram("h", max_samples=64)
         for i in range(10_000):
             histogram.observe(float(i))

@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 
+from repro.serve.protocol import MAX_HEAD_BYTES
 from repro.serve.supervisor import RestartPolicy, Supervisor
 
 # Cumulative-bucket layout: snapshots carry [count, sum, *39 buckets]
@@ -122,8 +123,17 @@ def wait_for(predicate, timeout_s=10.0, message="condition"):
 
 def scrape(port, path="/metrics"):
     """(status, body) from the supervisor's metrics listener."""
+    return scrape_raw(
+        port, f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
+    )
+
+
+def scrape_raw(port, request, half_close=False):
+    """(status, body) for raw request bytes; ``half_close`` sends EOF."""
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as s:
-        s.sendall(f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode())
+        s.sendall(request)
+        if half_close:
+            s.shutdown(socket.SHUT_WR)
         data = b""
         while b"\r\n\r\n" not in data:
             chunk = s.recv(65536)
@@ -250,6 +260,22 @@ class TestAggregatedMetrics:
             assert len(payload["shards"]) == 1
             status, _ = scrape(mport, "/nope")
             assert status == 404
+            status, _ = scrape_raw(
+                mport, b"POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n"
+            )
+            assert status == 405
+            status, _ = scrape_raw(mport, b"garbage\r\n\r\n")
+            assert status == 400
+            # A head still unterminated at EOF is not answered as if
+            # it had been read in full ...
+            unterminated = b"GET /metrics HTTP/1.1\r\nX-Pad: " + b"a" * 9000
+            status, _ = scrape_raw(mport, unterminated, half_close=True)
+            assert status == 400
+            # ... and past the head limit the answer is 431.
+            oversized = unterminated.ljust(MAX_HEAD_BYTES + 1, b"a")
+            status, _ = scrape_raw(mport, oversized)
+            assert status == 431
+            assert scrape(mport, "/status")[0] == 200
 
 
 class TestAutoscaling:

@@ -303,8 +303,6 @@ class TestAdmissionControl:
             MicroBatcher(max_wait_us=-1.0)
         with pytest.raises(ParameterError):
             MicroBatcher(max_pending=0)
-        with pytest.raises(ParameterError):
-            MicroBatcher(workers=0)
 
 
 class TestLifecycle:

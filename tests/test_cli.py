@@ -404,7 +404,6 @@ class TestServeCommand:
         assert args.port == 8321
         assert args.max_batch == 64
         assert args.max_wait_us == 200.0
-        assert args.workers == 1
         assert args.max_pending == 1024
         # Cluster mode is opt-in: 0 shards means single-process.
         assert args.shards == 0
@@ -431,7 +430,7 @@ class TestServeCommand:
         args = build_parser().parse_args([
             "serve", "--host", "0.0.0.0", "--port", "0",
             "--max-batch", "256", "--max-wait-us", "500",
-            "--workers", "2", "--max-pending", "32",
+            "--max-pending", "32",
             "--deadline-ms", "250", "--drain-timeout", "3",
         ])
         assert args.port == 0
@@ -471,54 +470,3 @@ class TestServeCommand:
 
         payload = asyncio.run(scenario())
         assert payload["predictions"]["single"]["speedup"] > 0
-
-
-class TestBenchReportCommand:
-    def _write_record(self, directory, pr, ratio):
-        (directory / f"BENCH_PR{pr}.json").write_text(json.dumps({
-            "schema": "rat-bench-record/v1",
-            "python": "3.11.0",
-            "platform": "Linux-x",
-            "metrics": {
-                "serve.rps_ratio": {"type": "gauge", "value": ratio}
-            },
-        }))
-
-    def test_history_renders_trajectory(self, tmp_path, capsys):
-        self._write_record(tmp_path, 1, 4.0)
-        self._write_record(tmp_path, 2, 6.0)
-        assert main(["bench", "report", "--history",
-                     "--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "PR1" in out and "PR2" in out
-        assert "serve.rps_ratio" in out
-        assert "+50.0%" in out
-
-    def test_history_needs_no_manifest(self, capsys):
-        # --history against the committed repo trajectory.
-        assert main(["bench", "report", "--history"]) == 0
-        assert "perf trajectory" in capsys.readouterr().out
-
-    def test_manifest_required_without_history(self, capsys):
-        assert main(["bench", "report"]) == 2
-        assert "--manifest is required" in capsys.readouterr().err
-
-    def test_ratchet_against_baseline(self, tmp_path, capsys):
-        from repro.obs.manifest import build_manifest, write_manifest
-
-        self._write_record(tmp_path, 1, 6.0)
-        manifest = build_manifest({"serve.rps_ratio": 6.2}, label="now")
-        path = write_manifest(manifest, tmp_path / "results")
-        assert main(["bench", "report", "--manifest", str(path),
-                     "--root", str(tmp_path)]) == 0
-        assert "OK: no regressions" in capsys.readouterr().out
-
-    def test_injected_regression_trips(self, tmp_path, capsys):
-        from repro.obs.manifest import build_manifest, write_manifest
-
-        self._write_record(tmp_path, 1, 6.0)
-        manifest = build_manifest({"serve.rps_ratio": 6.0}, label="now")
-        path = write_manifest(manifest, tmp_path / "results")
-        assert main(["bench", "report", "--manifest", str(path),
-                     "--root", str(tmp_path), "--inject", "0.5"]) == 1
-        assert "FAIL" in capsys.readouterr().out
