@@ -33,10 +33,12 @@ it each chunk's slices of the exploration's result columns.
 Validation mirrors the scalar dataclasses' ``__post_init__`` checks but
 runs vectorized; the first offending row is named in the error message.
 For fault-tolerant callers, ``check=False`` defers validation and
-:func:`row_violations` / :func:`valid_row_mask` report *per-row*
-diagnostics (same rule set, same message text as the scalar validators)
-instead of aborting on the first bad row — the basis of the exploration
-layer's row-level quarantine.
+:func:`violation_columns` makes one rule pass that reports *per-row*
+diagnostics as columns — each invalid row, the first rule it breaks and
+the offending value — instead of aborting on the first bad row: the
+basis of the exploration layer's row-level quarantine.
+:func:`row_violations` and :func:`valid_row_mask` read the same pass
+(same rule set, same message text as the scalar validators).
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ __all__ = [
     "mark_rows_valid",
     "row_violations",
     "valid_row_mask",
+    "violation_columns",
 ]
 
 #: BatchInput array-column names, in worksheet order.  All values are SI
@@ -130,26 +133,34 @@ def _as_column(name: str, values: object, n: int) -> np.ndarray:
     return array
 
 
-def _bad_positive(column: np.ndarray) -> np.ndarray:
-    return ~(np.isfinite(column) & (column > 0))
+# Valid-row masks, one per rule kind.  Each is the scalar rule in two
+# comparisons: NaN fails every comparison, and an infinity fails the
+# bound on its side (``< inf``, ``> 0`` or ``<= 1``), so no separate
+# finiteness pass is needed.
 
 
-def _bad_nonnegative(column: np.ndarray) -> np.ndarray:
-    return ~(np.isfinite(column) & (column >= 0))
+def _ok_positive(column: np.ndarray) -> np.ndarray:
+    return (column > 0) & (column < np.inf)
 
 
-def _bad_fraction(column: np.ndarray) -> np.ndarray:
-    return ~(np.isfinite(column) & (column > 0) & (column <= 1))
+def _ok_nonnegative(column: np.ndarray) -> np.ndarray:
+    return (column >= 0) & (column < np.inf)
 
 
-def _bad_at_least_one(column: np.ndarray) -> np.ndarray:
-    return ~(np.isfinite(column) & (column >= 1))
+def _ok_fraction(column: np.ndarray) -> np.ndarray:
+    return (column > 0) & (column <= 1)
 
 
-#: One entry per validated column, in the order violations are reported:
-#: (column name, vectorized bad-row mask, scalar message formatter).  The
-#: formatters are the exact ones the scalar parameter dataclasses raise
-#: with, so batch diagnostics match scalar ``ParameterError`` text.
+def _ok_at_least_one(column: np.ndarray) -> np.ndarray:
+    return (column >= 1) & (column < np.inf)
+
+
+#: One entry per validated column, in worksheet column order — the order
+#: the scalar ``RATInput`` groups check their fields, so a row breaking
+#: several rules is diagnosed by the rule scalar validation raises:
+#: (column name, vectorized valid-row mask, scalar message formatter).
+#: The formatters are the exact ones the scalar parameter dataclasses
+#: raise with, so batch diagnostics match scalar ``ParameterError`` text.
 _ROW_RULES: tuple[
     tuple[
         str,
@@ -158,17 +169,17 @@ _ROW_RULES: tuple[
     ],
     ...,
 ] = (
-    ("elements_in", _bad_positive, positive_violation),
-    ("bytes_per_element", _bad_positive, positive_violation),
-    ("ideal_bandwidth", _bad_positive, positive_violation),
-    ("ops_per_element", _bad_positive, positive_violation),
-    ("throughput_proc", _bad_positive, positive_violation),
-    ("clock_hz", _bad_positive, positive_violation),
-    ("t_soft", _bad_positive, positive_violation),
-    ("elements_out", _bad_nonnegative, nonnegative_violation),
-    ("alpha_write", _bad_fraction, fraction_violation),
-    ("alpha_read", _bad_fraction, fraction_violation),
-    ("n_iterations", _bad_at_least_one, at_least_one_violation),
+    ("elements_in", _ok_positive, positive_violation),
+    ("elements_out", _ok_nonnegative, nonnegative_violation),
+    ("bytes_per_element", _ok_positive, positive_violation),
+    ("ideal_bandwidth", _ok_positive, positive_violation),
+    ("alpha_write", _ok_fraction, fraction_violation),
+    ("alpha_read", _ok_fraction, fraction_violation),
+    ("ops_per_element", _ok_positive, positive_violation),
+    ("throughput_proc", _ok_positive, positive_violation),
+    ("clock_hz", _ok_positive, positive_violation),
+    ("t_soft", _ok_positive, positive_violation),
+    ("n_iterations", _ok_at_least_one, at_least_one_violation),
 )
 
 
@@ -187,23 +198,70 @@ class RowViolation:
     message: str
 
 
-def _rule_masks(
+def _rule_columns(
     batch: "BatchInput",
-) -> Iterator[tuple[str, np.ndarray, np.ndarray, Callable]]:
-    """``(name, column, bad, describe)`` for each rule pass ``batch`` needs.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(rule, column)`` for each rule pass ``batch`` needs.
 
-    A ``broadcast`` column (all rows equal) is checked on its first row,
-    so its ``bad`` mask has one entry that broadcasts over every row.  A
-    column object two fields share (the ``alpha`` axis writes one array
-    to both alphas) is checked once per rule, under the first field.
+    ``rule`` indexes :data:`_ROW_RULES`, in its order.  A ``broadcast``
+    column (all rows equal) is passed as its first row only, so its
+    pass checks one value that stands for every row.  A column object
+    two fields share (the ``alpha`` axis writes one array to both
+    alphas) is checked once per rule, under the first field.
     """
     seen: set[tuple[int, Callable]] = set()
-    for name, bad_fn, describe in _ROW_RULES:
+    for rule, (name, ok_fn, _) in enumerate(_ROW_RULES):
         column = getattr(batch, name)
-        if (id(column), bad_fn) not in seen:
-            seen.add((id(column), bad_fn))
-            checked = column[:1] if name in batch.broadcast else column
-            yield name, column, bad_fn(checked), describe
+        if (id(column), ok_fn) not in seen:
+            seen.add((id(column), ok_fn))
+            yield rule, column[:1] if name in batch.broadcast else column
+
+
+def violation_columns(
+    batch: "BatchInput",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one rule pass: ``(rows, rules, values)`` of every invalid row.
+
+    Each array has one entry per invalid row: the rows in ascending
+    order, the first rule each row breaks (an index into
+    :data:`_ROW_RULES`, whose worksheet column order is the order
+    scalar validation raises in), and the offending value.  All three
+    are fresh arrays, never views of the batch's columns.
+
+    Each distinct column is read once, into one combined mask.  When
+    that mask is clean the pass ends there with three empty arrays;
+    otherwise each rule that failed some row claims, among the invalid
+    rows only, those no earlier rule claimed.
+    """
+    n = len(batch)
+    passes = []
+    ok = np.ones(n, dtype=bool)
+    for rule, column in _rule_columns(batch):
+        rule_ok = _ROW_RULES[rule][1](column)
+        passes.append((rule, column, rule_ok))
+        if rule_ok.shape[0] < n:  # a broadcast column's one row
+            if not rule_ok[0]:
+                ok.fill(False)
+        else:
+            ok &= rule_ok
+    rows = np.flatnonzero(~ok)
+    rules = np.empty(rows.shape[0], dtype=np.intp)
+    values = np.empty(rows.shape[0])
+    if not rows.shape[0]:
+        return rows, rules, values
+    unclaimed = np.ones(rows.shape[0], dtype=bool)
+    for rule, column, rule_ok in passes:
+        if rule_ok.all():
+            continue
+        if rule_ok.shape[0] < n:  # fails every row
+            hit = unclaimed.copy()
+            values[hit] = column[0]
+        else:
+            hit = unclaimed & ~rule_ok[rows]
+            values[hit] = column[rows[hit]]
+        rules[hit] = rule
+        unclaimed &= ~hit
+    return rows, rules, values
 
 
 def row_violations(batch: "BatchInput") -> list[RowViolation]:
@@ -214,26 +272,18 @@ def row_violations(batch: "BatchInput") -> list[RowViolation]:
     the raising validator would have picked).  An empty list means every
     row would pass scalar validation.
     """
-    claimed = np.zeros(len(batch), dtype=bool)
+    rows, rules, values = (c.tolist() for c in violation_columns(batch))
     found: list[RowViolation] = []
-    for name, column, bad, describe in _rule_masks(batch):
-        bad = bad & ~claimed
-        if bad.any():
-            for i in np.flatnonzero(bad):
-                value = float(column[i])
-                message = describe(name, value)
-                assert message is not None
-                found.append(RowViolation(int(i), name, value, message))
-            claimed |= bad
-    found.sort(key=lambda violation: violation.row)
+    for row, rule, value in zip(rows, rules, values):
+        name, _, describe = _ROW_RULES[rule]
+        found.append(RowViolation(row, name, value, describe(name, value)))
     return found
 
 
 def valid_row_mask(batch: "BatchInput") -> np.ndarray:
     """Boolean column: True where the row passes every validation rule."""
     ok = np.ones(len(batch), dtype=bool)
-    for _, _, bad, _ in _rule_masks(batch):
-        ok &= ~bad
+    ok[violation_columns(batch)[0]] = False
     return ok
 
 
@@ -305,13 +355,18 @@ class BatchInput:
             self._validate()
 
     def _validate(self) -> None:
-        """Vectorized mirror of the scalar dataclasses' validation."""
-        for name, column, bad, describe in _rule_masks(self):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ParameterError(
-                    f"{describe(name, float(column[i]))} at row {i}"
-                )
+        """Vectorized mirror of the scalar dataclasses' validation.
+
+        The error names the first invalid row, diagnosed as quarantine
+        diagnoses it: by the first rule it breaks in worksheet column
+        order, the order scalar validation raises in.
+        """
+        for rule, column in _rule_columns(self):
+            if not _ROW_RULES[rule][1](column).all():
+                rows, rules, values = violation_columns(self)
+                name, _, describe = _ROW_RULES[int(rules[0])]
+                message = describe(name, float(values[0]))
+                raise ParameterError(f"{message} at row {int(rows[0])}")
 
     # ---- construction ------------------------------------------------------
 
@@ -484,8 +539,8 @@ class BatchInput:
         Streamed columns are gathered (copies); broadcast columns stay
         zero-stride views of their one value.  ``check`` defaults to the
         batch's own ``checked`` state; the quarantine path passes
-        ``check=True`` when it selects the rows that passed
-        :func:`valid_row_mask` out of an unchecked batch.
+        ``check=False`` and marks the rows :func:`violation_columns`
+        passed valid with :func:`mark_rows_valid`.
         """
         indices = np.asarray(indices)
         kwargs = {
@@ -506,12 +561,12 @@ def mark_rows_valid(batch: BatchInput) -> BatchInput:
     """Upgrade a deferred-validation batch to ``checked`` status, trusted.
 
     For callers that have *already* established every row passes the
-    validation rules — typically by getting an empty
-    :func:`row_violations` list, or by selecting rows through
-    :func:`valid_row_mask` — re-running ``_validate`` at predict time is
-    pure duplicate work.  This marks the batch checked without another
-    rule pass (mutating only the monotone ``checked`` flag) and returns
-    it.  Never call it on a batch whose rows were not actually vetted:
+    validation rules — typically by getting no invalid rows from
+    :func:`violation_columns` (or :func:`row_violations`), or by
+    selecting the rows it passed — re-running ``_validate`` at predict
+    time is pure duplicate work.  This marks the batch checked without
+    another rule pass (mutating only the monotone ``checked`` flag) and
+    returns it.  Never call it on a batch whose rows were not actually vetted:
     invalid rows would then reach the equations as silent inf/NaN.
     """
     if not batch.checked:
@@ -644,8 +699,8 @@ def _predict_into(
     field order, each exactly ``len(batch)`` rows long.  Unchecked
     batches are validated first: the divisions would turn invalid rows
     into silent inf/NaN where the scalar path raises, so quarantine
-    callers split the batch with ``valid_row_mask``/``take`` (or vouch
-    for it with :func:`mark_rows_valid`) before predicting.
+    callers take the rows :func:`violation_columns` passed (and vouch
+    for them with :func:`mark_rows_valid`) before predicting.
 
     Batches longer than :data:`DEFAULT_TILE` rows are walked in tiles,
     so the whole equation chain runs on each tile while it is hot in

@@ -320,18 +320,13 @@ def explore(
             valid_indices: np.ndarray | None = None
             eval_batch = batch
             if on_error != "fail":
-                valid_indices, point_failures = quarantine_rows(
-                    batch, space.point
+                valid_indices, point_failures = quarantine_rows(batch, space)
+                # quarantine_rows just vetted every kept row; mark them
+                # valid rather than re-running the rules inside take().
+                eval_batch = mark_rows_valid(
+                    batch.take(valid_indices, check=False)
+                    if point_failures else batch
                 )
-                if point_failures:
-                    # quarantine_rows just vetted every kept row; mark
-                    # them valid rather than re-running the rules a
-                    # second time inside take().
-                    eval_batch = mark_rows_valid(
-                        batch.take(valid_indices, check=False)
-                    )
-                else:
-                    eval_batch = mark_rows_valid(batch)
             m = len(eval_batch)
             bounds = _chunk_bounds(m, chunk_size)
             columns = tuple(np.empty(m) for _ in _RESULT_COLUMNS)
@@ -361,9 +356,13 @@ def explore(
                         "elapsed": elapsed,
                         "payload": [view.tolist() for view in views],
                     })
-            prediction, indices = _assemble_exploration(
-                batch, mode, n, valid_indices, columns, on_error,
-            )
+            if on_error == "skip":
+                # Surviving row i is design valid_indices[i] of the space.
+                prediction = BatchPrediction(eval_batch, mode, *columns)
+            else:
+                if point_failures:
+                    columns = _with_nan_rows(columns, valid_indices, n)
+                prediction = BatchPrediction(batch, mode, *columns)
             if point_failures:
                 metrics.counter("explore.failed_points").inc(
                     len(point_failures)
@@ -382,37 +381,30 @@ def explore(
         prediction=prediction,
         elapsed_s=elapsed,
         failures=point_failures,
-        indices=indices,
+        indices=valid_indices if on_error == "skip" else None,
         resumed_chunks=len(done),
     )
 
 
-def _assemble_exploration(
-    batch: BatchInput,
-    mode: BufferingMode,
-    n: int,
-    valid_indices: np.ndarray | None,
-    columns: Sequence[np.ndarray],
-    on_error: str,
-) -> tuple[BatchPrediction, np.ndarray | None]:
-    """Finish the evaluated columns into the final prediction.
+def _with_nan_rows(
+    columns: Sequence[np.ndarray], valid_indices: np.ndarray, n: int
+) -> list[np.ndarray]:
+    """The evaluated ``columns`` spread over ``n`` rows, NaN where failed.
 
-    ``columns`` hold one row per evaluated point; ``valid_indices``
-    (``None`` under ``on_error="fail"``, where every point is evaluated)
-    maps them to design indices.  Under ``"quarantine"`` quarantined
-    points are scattered back as NaN rows.
+    Evaluated row ``i`` lands on row ``valid_indices[i]``: each
+    full-length column gets NaN in the failed rows only, and the
+    evaluated rows, in order, through the boolean valid mask.
     """
-    if on_error == "skip":
-        # Surviving row i maps to design valid_indices[i] of the space;
-        # every kept row passed quarantine_rows: no second rule pass.
-        result_batch = mark_rows_valid(batch.take(valid_indices, check=False))
-        return BatchPrediction(result_batch, mode, *columns), valid_indices
-    if valid_indices is not None and len(valid_indices) != n:
-        full = [np.full(n, np.nan) for _ in columns]
-        for out, column in zip(full, columns):
-            out[valid_indices] = column
-        columns = full
-    return BatchPrediction(batch, mode, *columns), None
+    valid = np.zeros(n, dtype=bool)
+    valid[valid_indices] = True
+    failed = np.flatnonzero(~valid)
+    full = []
+    for column in columns:
+        out = np.empty(n)
+        out[failed] = np.nan
+        out[valid] = column
+        full.append(out)
+    return full
 
 
 def map_designs(

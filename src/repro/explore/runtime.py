@@ -9,10 +9,10 @@ usable:
     :func:`~repro.explore.executor.map_designs`.
 ``quarantine_rows``
     Row-level triage: given a deferred-validation
-    :class:`~repro.core.batch.BatchInput`, split the rows scalar
-    validation would reject into structured :class:`PointFailure`
-    diagnostics (same message text as the scalar ``ParameterError``)
-    and return the surviving row indices.
+    :class:`~repro.core.batch.BatchInput`, one rule pass splits the
+    rows scalar validation would reject into structured
+    :class:`PointFailure` diagnostics (same message text as the scalar
+    ``ParameterError``) and returns the surviving row indices.
 ``run_chunks``
     The resilient dispatch engine: runs one picklable function over a
     task list, serially or on a ``ProcessPoolExecutor``, with per-chunk
@@ -50,15 +50,24 @@ from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from itertools import repeat
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..core.batch import BatchInput, row_violations, valid_row_mask
+# row_violations is not called here; it stays a module attribute because
+# the repository benchmark's tracer wraps it by this name.
+from ..core.batch import (
+    _ROW_RULES,
+    BatchInput,
+    row_violations,
+    violation_columns,
+)
 from ..errors import ExplorationError, ParameterError
 from ..obs import get_metrics
 from ..obs.log import event, get_logger
 from ..obs.metrics import MetricsRegistry
+from .space import DesignSpace
 
 _log = get_logger("explore")
 
@@ -141,7 +150,8 @@ class PointFailure:
     byte-identical to the ``ParameterError`` message the scalar
     ``predict()`` path raises for the same value.  ``point`` carries the
     design's axis values when the caller knows them (the exploration
-    executor fills it from :meth:`DesignSpace.point`).
+    executor fills it from its design space, as :meth:`DesignSpace.point`
+    would).
     """
 
     index: int
@@ -207,27 +217,40 @@ class ChunkRunReport:
 
 
 def quarantine_rows(
-    batch: BatchInput,
-    point_fn: Callable[[int], Mapping[str, float]] | None = None,
+    batch: BatchInput, space: DesignSpace | None = None
 ) -> tuple[np.ndarray, tuple[PointFailure, ...]]:
     """Split a deferred-validation batch into valid rows and diagnoses.
 
-    Returns ``(valid_indices, failures)``: the row indices that pass
-    every scalar validation rule (evaluate these with ``take()``), and
-    one :class:`PointFailure` per rejected row.  ``point_fn`` maps a row
-    index to its axis values for the failure records.
+    One rule pass returns ``(valid_indices, failures)``: the row indices
+    that pass every scalar validation rule (evaluate these with
+    ``take()``), and one :class:`PointFailure` per rejected row, in row
+    order.  The records are built in one pass over the rule pass's
+    columns; each ``reason`` comes from the scalar validator's own
+    formatter, byte for byte.  ``space``, the design space the batch was
+    staged from, supplies each failure's axis values, gathered for all
+    failed rows at once.
     """
-    failures = tuple(
-        PointFailure(
-            index=violation.row,
-            parameter=violation.column,
-            value=violation.value,
-            reason=violation.message,
-            point=dict(point_fn(violation.row)) if point_fn else None,
+    rows, rules, values = violation_columns(batch)
+    n = len(batch)
+    if not rows.shape[0]:
+        return np.arange(n), ()
+    valid = np.ones(n, dtype=bool)
+    valid[rows] = False
+    rule_ids = rules.tolist()
+    bad_values = values.tolist()
+    names = [_ROW_RULES[rule][0] for rule in rule_ids]
+    reasons = [
+        _ROW_RULES[rule][2](name, value)
+        for rule, name, value in zip(rule_ids, names, bad_values)
+    ]
+    points: Iterator[Mapping[str, float] | None] = repeat(None)
+    if space is not None:
+        points = map(
+            dict, map(zip, repeat(space.axes), space.values[rows].tolist())
         )
-        for violation in row_violations(batch)
-    )
-    return np.flatnonzero(valid_row_mask(batch)), failures
+    return np.flatnonzero(valid), tuple(map(
+        PointFailure, rows.tolist(), names, bad_values, reasons, points
+    ))
 
 
 def _chunk_failure(

@@ -25,10 +25,11 @@ Correctness contracts:
   guarantee, preserved here by staging worksheet fields with exactly the
   conversions :meth:`RATInput.from_dict` applies.
 * **Row-level quarantine.**  One invalid worksheet in a coalesced batch
-  fails only that request: rows are staged unvalidated, triaged with
-  :func:`repro.core.batch.valid_row_mask` (PR 3's quarantine machinery),
-  and each rejected request receives the *byte-identical* diagnostic the
-  scalar ``RATInput.from_dict`` path raises for its worksheet.
+  fails only that request: rows are staged unvalidated, triaged by one
+  :func:`repro.core.batch.row_violations` rule pass (the exploration
+  layer's quarantine machinery), and each rejected request receives the
+  *byte-identical* diagnostic the scalar ``RATInput.from_dict`` path
+  raises for its worksheet.
 
 Admission control: the pending queue is bounded (``max_pending``);
 over-capacity submissions raise :class:`~repro.errors.AdmissionError`

@@ -175,6 +175,38 @@ class TestExploreResume:
                 == getattr(clean.prediction, name).tobytes()
             )
 
+    @pytest.mark.parametrize("on_error", ["quarantine", "skip"])
+    def test_interrupted_run_with_invalid_points_resumes_bitwise_identical(
+        self, tmp_path, pdf1d_rat, on_error
+    ):
+        # Chunks journal the evaluated rows; the NaN rows (quarantine)
+        # or dropped rows (skip) and the failures are rebuilt from the
+        # rule pass on resume.
+        values = _space(pdf1d_rat, 40).values.copy()
+        values[[2, 11, 30], 0] = [0.0, -5.0, float("nan")]
+        space = DesignSpace(
+            base=pdf1d_rat, axes=("clock_mhz", "alpha"), values=values
+        )
+        journal = tmp_path / "run.jsonl"
+        clean = explore(space, chunk_size=7, on_error=on_error)
+        explore(space, chunk_size=7, on_error=on_error, checkpoint=journal)
+        _truncate_journal(journal, keep_chunks=3)
+        resumed = explore(
+            space, chunk_size=7, on_error=on_error, checkpoint=journal,
+            resume=True,
+        )
+        assert resumed.resumed_chunks == 3
+        for name in ("t_input", "t_output", "t_comm", "t_comp", "t_rc",
+                     "speedup", "util_comp", "util_comm"):
+            assert (
+                getattr(resumed.prediction, name).tobytes()
+                == getattr(clean.prediction, name).tobytes()
+            )
+        assert [(f.index, f.reason) for f in resumed.failures] == [
+            (f.index, f.reason) for f in clean.failures
+        ]
+        assert resumed.n_failed == 3
+
     def test_resumed_rows_match_scalar(self, tmp_path, pdf1d_rat):
         # Replayed chunks are copied into their slices of the result
         # columns, the rest evaluated into theirs: every row is exact.

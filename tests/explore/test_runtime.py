@@ -8,6 +8,7 @@ from repro.errors import ExplorationError, ParameterError, RATError
 from repro.explore import (
     ChunkFailure,
     ChunkRunReport,
+    DesignSpace,
     PointFailure,
     RetryPolicy,
     quarantine_rows,
@@ -106,11 +107,9 @@ class TestQuarantineRows:
             "clock_hz must be positive and finite, got 0.0"
         )
 
-    def test_point_fn_fills_axis_values(self, simple_rat):
-        batch = BatchInput.from_base(
-            simple_rat, 2, {"clock_hz": [0.0, 1e8]}, check=False
-        )
-        _, failures = quarantine_rows(batch, lambda i: {"clock_mhz": 0.0})
+    def test_space_fills_axis_values(self, simple_rat):
+        space = DesignSpace.grid(simple_rat, clock_mhz=[0.0, 100.0])
+        _, failures = quarantine_rows(space.to_batch(check=False), space)
         assert failures[0].point == {"clock_mhz": 0.0}
 
     def test_all_valid(self, simple_rat):
