@@ -3,15 +3,14 @@
 Four measurements, all recorded into the session record
 (``benchmarks/results/bench-session.json``, see ``conftest.BENCH_RECORD``):
 
-* **Micro-batching win** (the PR's acceptance criterion): the same
-  request stream driven through the application layer at concurrency 64,
-  once with coalescing enabled and once with ``max_batch_size=1``
+* **Micro-batching win**: the same request stream driven through the
+  application layer at concurrency 64, once with coalescing enabled
+  (``max_batch_size=256``) and once with ``max_batch_size=1``
   (batch-size-1 serving — every request pays the full scalar staging +
   numpy dispatch pipeline alone).  Micro-batched serving must deliver
-  >= 4x the RPS.  (The floor was 5x before the compiled-plan PR; plans
-  made batch-size-1 serving itself faster, which legitimately shrinks
-  the batching multiplier, and the measured ratio now swings 4.2-5.2x
-  run-to-run on this box.)  Driving :meth:`RATApp.handle` directly keeps the
+  >= 4x the RPS, as the median ratio of five interleaved pairs: a
+  single pair swings 3.4-5.6x on a 2-vCPU host, too wide to tell a
+  20% regression from noise.  Driving :meth:`RATApp.handle` directly keeps the
   client's cost out of the comparison — on a single-core runner an
   in-process HTTP client would spend as much CPU generating load as the
   server spends serving it, capping any measurable ratio at ~2-3x
@@ -40,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import statistics
 import threading
 import time
 
@@ -140,27 +140,43 @@ async def _http_load(port: int, total: int, concurrency: int):
 
 
 def test_microbatch_vs_unbatched_rps(show):
-    """Acceptance criterion: >= 4x RPS from micro-batching at
-    concurrency 64 versus batch-size-1 serving (see module docstring
-    for why the floor moved from 5x with the compiled-plan PR)."""
-    total, concurrency = 4096, 64
+    """>= 4x RPS from micro-batching at concurrency 64 versus
+    batch-size-1 serving, as the median over interleaved pairs (see
+    the module docstring)."""
+    total, concurrency, pairs = 4096, 64, 5
+
+    async def measure(max_batch_size):
+        app = RATApp(max_batch_size=max_batch_size)
+        await app.startup()
+        try:
+            await _app_load(app, 512, concurrency)  # warm numpy/code paths
+            return await _app_load(app, total, concurrency)
+        finally:
+            await app.shutdown()
 
     async def scenario():
-        batched = RATApp(max_batch_size=256, max_wait_us=300.0)
-        await batched.startup()
-        await _app_load(batched, 512, concurrency)  # warm numpy/code paths
-        batched_stats = await _app_load(batched, total, concurrency)
-        await batched.shutdown()
+        runs = []
+        for i in range(pairs):
+            # Alternate which side runs first, so drift in the host's
+            # speed falls on both sides alike.
+            if i % 2:
+                unbatched = await measure(1)
+                batched = await measure(256)
+            else:
+                batched = await measure(256)
+                unbatched = await measure(1)
+            runs.append((batched, unbatched))
+        return runs
 
-        unbatched = RATApp(max_batch_size=1, max_wait_us=0.0)
-        await unbatched.startup()
-        await _app_load(unbatched, 512, concurrency)
-        unbatched_stats = await _app_load(unbatched, total, concurrency)
-        await unbatched.shutdown()
-        return batched_stats, unbatched_stats
-
-    (b_rps, b_p50, b_p99), (u_rps, u_p50, u_p99) = asyncio.run(scenario())
-    ratio = b_rps / u_rps
+    runs = asyncio.run(scenario())
+    ratios = [b[0] / u[0] for b, u in runs]
+    ratio = statistics.median(ratios)
+    b_rps, b_p50, b_p99 = (
+        statistics.median(b[k] for b, _ in runs) for k in range(3)
+    )
+    u_rps, u_p50, u_p99 = (
+        statistics.median(u[k] for _, u in runs) for k in range(3)
+    )
     record_gauge("serve.microbatched_rps", b_rps)
     record_gauge("serve.microbatched_p50_us", b_p50 * 1e6)
     record_gauge("serve.microbatched_p99_us", b_p99 * 1e6)
@@ -168,16 +184,21 @@ def test_microbatch_vs_unbatched_rps(show):
     record_gauge("serve.unbatched_p50_us", u_p50 * 1e6)
     record_gauge("serve.unbatched_p99_us", u_p99 * 1e6)
     record_gauge("serve.rps_ratio", ratio)
+    for i, pair_ratio in enumerate(ratios):
+        record_gauge(f"serve.rps_ratio_pairs[{i}]", pair_ratio)
     show(
         f"micro-batched: {b_rps:,.0f} req/s "
         f"(p50 {b_p50 * 1e6:.0f}us, p99 {b_p99 * 1e6:.0f}us)\n"
         f"batch-size-1:  {u_rps:,.0f} req/s "
         f"(p50 {u_p50 * 1e6:.0f}us, p99 {u_p99 * 1e6:.0f}us)\n"
-        f"ratio: {ratio:.1f}x at concurrency {concurrency}"
+        f"pair ratios: {', '.join(f'{r:.1f}x' for r in ratios)}\n"
+        f"median ratio: {ratio:.1f}x at concurrency {concurrency} "
+        "(medians over the pairs)"
     )
     assert ratio >= 4.0, (
-        f"micro-batching delivered only {ratio:.1f}x over batch-size-1 "
-        f"serving at concurrency {concurrency} (need >= 4x)"
+        f"micro-batching delivered a median {ratio:.1f}x over "
+        f"batch-size-1 serving at concurrency {concurrency} (need >= 4x; "
+        f"pairs: {', '.join(f'{r:.1f}x' for r in ratios)})"
     )
 
 
@@ -189,7 +210,7 @@ def test_http_service_profile(show):
     total = 2048
 
     async def scenario():
-        app = RATApp(max_batch_size=256, max_wait_us=300.0)
+        app = RATApp(max_batch_size=256)
         server = RATServer(app, host="127.0.0.1", port=0)
         await server.start()
         results = {}
@@ -234,7 +255,6 @@ def _cluster_rps(shards: int, total: int, concurrency: int) -> float:
         policy=RestartPolicy(budget=3, window_s=30.0),
         boot_timeout_s=120.0,
         max_batch_size=256,
-        max_wait_us=300.0,
     )
     supervisor.start()
     thread = threading.Thread(target=supervisor.run, daemon=True)
@@ -336,7 +356,6 @@ def test_autoscale_trace(show):
         scale_cooldown_s=0.5,
         scale_smoothing_s=0.25,
         max_batch_size=256,
-        max_wait_us=300.0,
     )
     supervisor.start()
     thread = threading.Thread(target=supervisor.run, daemon=True)

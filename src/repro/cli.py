@@ -27,14 +27,15 @@ Subcommands
 ``rat platforms [--format json]``
     List catalogued platforms/devices/interconnects (``--format json``
     for a machine-readable catalog).
-``rat serve [--host H] [--port P] [--max-batch N] [--max-wait-us U]``
+``rat serve [--host H] [--port P] [--max-batch N]``
     Run the micro-batching HTTP prediction service (``POST /v1/predict``,
     ``/v1/batch``, ``/v1/explore``; ``GET /healthz``, ``/healthz/live``,
     ``/healthz/ready``, ``/metrics`` in Prometheus exposition format).
     Concurrent single predictions are coalesced onto the vectorized
-    batch engine; drains gracefully on SIGTERM/SIGINT.  ``--access-log
-    [FILE]`` streams structured JSONL access and lifecycle events
-    (stderr when no file is given).  ``--shards N`` runs the
+    batch engine: each batch is whatever queued while the last one ran,
+    up to ``--max-batch`` rows.  Drains gracefully on SIGTERM/SIGINT.
+    ``--access-log [FILE]`` streams structured JSONL access and
+    lifecycle events (stderr when no file is given).  ``--shards N`` runs the
     self-healing multi-process cluster instead: N shard processes share
     the port, a supervisor restarts crashes with backoff (benching
     crash-loopers behind a ``--restart-budget`` circuit breaker), kills
@@ -305,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="max single predictions coalesced per batch (default 64)",
-    )
-    srv.add_argument(
-        "--max-wait-us",
-        type=float,
-        default=200.0,
-        metavar="US",
-        help="coalescing window in microseconds (default 200; 0 disables)",
     )
     srv.add_argument(
         "--max-pending",
@@ -819,7 +813,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scale_down_depth=args.scale_down_depth,
             scale_cooldown_s=args.scale_cooldown,
             max_batch_size=args.max_batch,
-            max_wait_us=args.max_wait_us,
             max_pending=args.max_pending,
             default_deadline_s=(
                 args.deadline_ms * 1e-3 if args.deadline_ms > 0 else None
@@ -832,7 +825,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch,
-        max_wait_us=args.max_wait_us,
         max_pending=args.max_pending,
         default_deadline_s=(
             args.deadline_ms * 1e-3 if args.deadline_ms > 0 else None

@@ -537,17 +537,25 @@ class BatchInput:
         """Select the rows at ``indices``.
 
         Streamed columns are gathered (copies); broadcast columns stay
-        zero-stride views of their one value.  ``check`` defaults to the
-        batch's own ``checked`` state; the quarantine path passes
-        ``check=False`` and marks the rows :func:`violation_columns`
-        passed valid with :func:`mark_rows_valid`.
+        zero-stride views of their one value.  A column object several
+        fields share (the ``alpha`` axis backs both alphas with one
+        array) is gathered once, and the taken fields share the copy.
+        ``check`` defaults to the batch's own ``checked`` state; the
+        quarantine path passes ``check=False`` and marks the rows
+        :func:`violation_columns` passed valid with
+        :func:`mark_rows_valid`.
         """
         indices = np.asarray(indices)
-        kwargs = {
-            name: np.broadcast_to(getattr(self, name)[:1], (len(indices),))
-            if name in self.broadcast else getattr(self, name)[indices]
-            for name in _COLUMNS
-        }
+        gathered: dict[int, np.ndarray] = {}
+        kwargs = {}
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            if name in self.broadcast:
+                kwargs[name] = np.broadcast_to(column[:1], (len(indices),))
+                continue
+            if id(column) not in gathered:
+                gathered[id(column)] = column[indices]
+            kwargs[name] = gathered[id(column)]
         names = (
             tuple(self.names[int(i)] for i in indices) if self.names else ()
         )

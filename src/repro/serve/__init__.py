@@ -9,11 +9,13 @@ This subsystem serves that traffic shape on the stdlib only:
     Socket-free HTTP/1.1 parsing/formatting over ``bytes``.
 ``batcher``
     :class:`MicroBatcher` — coalesces concurrent single predictions
-    into struct-of-arrays batches (``max_batch_size``/``max_wait_us``
-    window) so callers ride PR 2's vectorized kernels bitwise-equal to
-    scalar ``predict()``, with PR 3's row-level quarantine isolating
-    invalid worksheets and bounded-queue admission control (429 +
-    ``Retry-After``, per-request deadlines).
+    into struct-of-arrays batches: each time its consumer wakes it
+    evaluates whatever queued, up to ``max_batch_size`` rows, with no
+    timer.  Callers ride the vectorized kernel bitwise-equal to scalar
+    ``predict()``, with row-level quarantine isolating invalid
+    worksheets and bounded-queue admission control (429 +
+    ``Retry-After``, per-request deadlines).  Its ``evaluate`` is the
+    one evaluation path of both ``/v1/predict`` and ``/v1/batch``.
 ``app``
     :class:`RATApp` — the transport-independent route table
     (``/v1/predict``, ``/v1/batch``, ``/v1/explore``, ``/healthz``,

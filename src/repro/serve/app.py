@@ -15,9 +15,10 @@ Endpoints:
     concurrent callers share struct-of-arrays batch evaluations while
     each still receives a result bitwise-equal to scalar ``predict()``.
 ``POST /v1/batch``
-    An array of worksheets evaluated as one batch via
-    :func:`repro.core.batch.batch_predict`, with row-level quarantine:
-    invalid rows come back as per-row errors, valid rows still predict.
+    An array of worksheets evaluated as one batch on the event loop by
+    :meth:`MicroBatcher.evaluate`, the path ``/v1/predict`` batches
+    take, with row-level quarantine: invalid rows come back as per-row
+    errors, valid rows still predict.
 ``POST /v1/explore``
     A bounded design-space sweep via :func:`repro.explore.explore` over
     a registered case study or an inline worksheet.
@@ -55,15 +56,11 @@ import math
 import time
 from typing import Mapping
 
-import numpy as np
-
 from ..apps.registry import get_case_study
-from ..core.batch import (
-    BatchInput,
-    batch_predict,
-    mark_rows_valid,
-    row_violations,
-)
+# batch_predict, row_violations and scalar_diagnostic are not called
+# here; they stay module attributes because the repository benchmark's
+# tracer wraps them on this module by name.
+from ..core.batch import batch_predict, row_violations
 from ..core.buffering import BufferingMode
 from ..core.params import RATInput
 from ..errors import (
@@ -101,18 +98,6 @@ _log = get_logger("serve")
 #: first request — no series appearing mid-flight between scrapes.
 _STATUS_CODES = (400, 404, 405, 411, 413, 429, 431, 500, 501, 503, 504)
 
-#: Fields copied from a batch prediction row into JSON responses.
-_RESULT_FIELDS = (
-    "t_input",
-    "t_output",
-    "t_comm",
-    "t_comp",
-    "t_rc",
-    "speedup",
-    "util_comp",
-    "util_comm",
-)
-
 #: Default cap on prediction rows returned by ``/v1/explore``.
 _EXPLORE_TOP_DEFAULT = 100
 
@@ -149,7 +134,6 @@ class RATApp:
         self,
         *,
         max_batch_size: int = 64,
-        max_wait_us: float = 200.0,
         max_pending: int = 1024,
         max_body_bytes: int = 1 << 20,
         max_batch_rows: int = 4096,
@@ -158,9 +142,7 @@ class RATApp:
         shard_id: int | None = None,
     ) -> None:
         self.batcher = MicroBatcher(
-            max_batch_size=max_batch_size,
-            max_wait_us=max_wait_us,
-            max_pending=max_pending,
+            max_batch_size=max_batch_size, max_pending=max_pending
         )
         self.max_body_bytes = int(max_body_bytes)
         self.max_batch_rows = int(max_batch_rows)
@@ -444,10 +426,17 @@ class RATApp:
                 results[i] = {"ok": False, "error": str(exc)}
         evaluated = 0
         if rows:
-            evaluated = await asyncio.to_thread(
-                self._evaluate_rows, worksheets, results, rows, row_owner,
-                modes,
+            evaluated = self._evaluate_rows(
+                worksheets, results, rows, row_owner, modes
             )
+            if len(rows) > self.batcher.max_batch_size:
+                # Encoding a long array costs about what decoding and
+                # evaluating it did (4,096 rows: ~45 and ~25 ms), so poll
+                # in between: the loop then stalls for the longer phase,
+                # not for their sum.  An array no longer than a
+                # micro-batch skips the poll, which would only queue it
+                # behind other connections' work.
+                await _poll_loop()
         return json_response({
             "rows": len(worksheets),
             "evaluated": evaluated,
@@ -463,42 +452,22 @@ class RATApp:
         row_owner: list[int],
         modes: tuple[BufferingMode, ...],
     ) -> int:
-        """Batch-evaluate staged rows, quarantining invalid ones."""
-        matrix = np.asarray(rows, dtype=np.float64)
-        staged = BatchInput(*matrix.T, check=False)
-        bad = {v.row: v for v in row_violations(staged)}
-        for local, violation in bad.items():
-            owner = row_owner[local]
-            results[owner] = {
-                "ok": False,
-                "error": scalar_diagnostic(
-                    worksheets[owner], violation.message
-                ),
-            }
-        keep = [i for i in range(len(rows)) if i not in bad]
-        if not keep:
-            return 0
-        # row_violations just vetted every kept row: mark them valid
-        # instead of paying another rule pass per take and per mode.
-        if bad:
-            staged = staged.take(np.asarray(keep, dtype=np.intp), check=False)
-        mark_rows_valid(staged)
-        predictions = {
-            mode: batch_predict(staged, mode) for mode in modes
-        }
-        get_metrics().counter("serve.predictions").inc(len(keep))
-        if bad:
-            get_metrics().counter("serve.quarantined").inc(len(bad))
-        for out_i, local in enumerate(keep):
-            record: dict[str, dict[str, float]] = {}
-            for mode in modes:
-                prediction = predictions[mode]
-                record[mode.value] = {
-                    name: float(getattr(prediction, name)[out_i])
-                    for name in _RESULT_FIELDS
-                }
-            results[row_owner[local]] = {"ok": True, "predictions": record}
-        return len(keep)
+        """Evaluate the staged rows into ``results``; count the valid.
+
+        Runs on the event loop, through the batcher's one evaluation
+        path, so the batcher's plan stays on one thread.
+        """
+        outcomes = self.batcher.evaluate(
+            rows, [worksheets[i] for i in row_owner], [modes] * len(rows)
+        )
+        evaluated = 0
+        for owner, outcome in zip(row_owner, outcomes):
+            if isinstance(outcome, ParameterError):
+                results[owner] = {"ok": False, "error": str(outcome)}
+            else:
+                results[owner] = {"ok": True, "predictions": outcome}
+                evaluated += 1
+        return evaluated
 
     async def _explore(self, request: Request) -> Response:
         from ..explore import DesignSpace, explore
@@ -569,6 +538,20 @@ class RATApp:
         if deadline_s <= 0:
             raise ParameterError(f"deadline_ms must be > 0, got {raw!r}")
         return deadline_s
+
+
+async def _poll_loop() -> None:
+    """Let the loop poll its sockets and timers, and run the tasks that
+    poll wakes, before the caller resumes.
+
+    A task the poll wakes runs one loop step after it, so the caller
+    resumes a step later still; after ``asyncio.sleep(0)`` it would
+    resume ahead of them.
+    """
+    loop = asyncio.get_running_loop()
+    polled = loop.create_future()
+    loop.call_soon(loop.call_soon, polled.set_result, None)
+    await polled
 
 
 def _buffering_mode(value: str) -> BufferingMode:

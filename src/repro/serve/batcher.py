@@ -5,17 +5,22 @@ A prediction service built naively on :func:`repro.core.throughput
 request.  PR 2's batch engine evaluates a million rows per call — but
 only helps if concurrent requests actually share a call.  The
 :class:`MicroBatcher` is that bridge: single-prediction requests are
-appended to a pending queue, and a consumer task drains them in
-struct-of-arrays batches bounded by a ``max_batch_size`` /
-``max_wait_us`` window, so N concurrent callers pay ~one batch's worth
-of numpy dispatch and validation instead of N.
+appended to a pending queue, and a consumer task evaluates whatever is
+queued each time it wakes, up to ``max_batch_size`` rows.  No timer
+holds a request back: the requests that arrive while one batch runs
+form the next, so arrival overlaps evaluation the way Eq (6) overlaps
+communication with computation, and N concurrent callers pay ~one
+batch's worth of numpy dispatch and validation instead of N.
 
 Each batcher compiles one :class:`~repro.core.plan.PredictionPlan` at
-construction, pre-sized to ``max_batch_size``, and evaluates every
-coalesced batch through it: the steady-state request path performs no
-result-buffer allocation and no duplicate row validation (rows are
-triaged once by ``row_violations`` and the surviving batch is marked
-valid), and the ``plan.compiles`` counter stays flat under load.
+construction, pre-sized to ``max_batch_size``.
+:meth:`MicroBatcher.evaluate` is the service's one
+evaluate-and-distribute path: the coalesced batches of ``/v1/predict``
+and the row arrays of ``/v1/batch`` both run through it, and through
+that plan.  Rows are
+triaged once by ``row_violations``, the surviving batch is marked valid
+instead of re-validated, and the ``plan.compiles`` counter stays flat
+under load.
 
 Correctness contracts:
 
@@ -40,9 +45,10 @@ expire while queued are failed with
 
 Observability: ``serve.queue_depth`` (gauge) tracks the pending queue,
 ``serve.batch_size`` / ``serve.batch_seconds`` / ``serve.batch_wait_seconds``
-(histograms) the coalescing behaviour, ``serve.predictions`` /
-``serve.quarantined`` / ``serve.deadline_expired`` (counters) the row
-outcomes, and each executed batch records a ``serve.batch`` span.
+(histograms) the coalescing behaviour, ``serve.predictions`` (rows
+evaluated) / ``serve.quarantined`` (rows rejected) on both routes and
+``serve.deadline_expired`` (counters) the row outcomes, and each
+executed batch records a ``serve.batch`` span.
 """
 
 from __future__ import annotations
@@ -52,11 +58,16 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core.batch import BatchInput, mark_rows_valid, row_violations
+from ..core.batch import (
+    _RESULT_COLUMNS,
+    BatchInput,
+    mark_rows_valid,
+    row_violations,
+)
 from ..core.buffering import BufferingMode
 from ..core.plan import PredictionPlan
 from ..core.params import RATInput
@@ -106,19 +117,6 @@ _FIELDS: tuple[tuple[str, str, float], ...] = (
     ("t_soft", "float", 1.0),
     ("n_iterations", "int", 1.0),
 )
-
-#: Per-row prediction fields copied into responses (as_records order).
-_RESULT_FIELDS = (
-    "t_input",
-    "t_output",
-    "t_comm",
-    "t_comp",
-    "t_rc",
-    "speedup",
-    "util_comp",
-    "util_comm",
-)
-
 
 def resolve_modes(mode: str) -> PredictionModes:
     """Map a request's ``mode`` string to the modes to evaluate."""
@@ -222,34 +220,31 @@ class _Pending:
 class MicroBatcher:
     """Coalesce concurrent single predictions into batch-engine calls.
 
-    ``max_batch_size`` bounds rows per batch; ``max_wait_us`` bounds how
-    long the first queued request waits for company (0 disables
-    coalescing delay — batches still form from whatever is queued when
-    the consumer wakes).  ``max_pending`` is the admission bound; beyond
-    it, :meth:`submit` raises :class:`AdmissionError` (HTTP 429).
+    Each time the consumer wakes it takes up to ``max_batch_size``
+    queued requests as one batch; nothing waits for company, so a lone
+    request is evaluated at once and, under load, the requests queued
+    while a batch ran make the next one.  ``max_pending`` is the
+    admission bound; beyond it, :meth:`submit` raises
+    :class:`AdmissionError` (HTTP 429).  ``batches`` and ``served``
+    count the batches and rows :meth:`evaluate` evaluated, on both
+    routes (``served`` is ``serve.predictions``).
     """
 
     def __init__(
         self,
         *,
         max_batch_size: int = 64,
-        max_wait_us: float = 200.0,
         max_pending: int = 1024,
     ) -> None:
         if max_batch_size < 1:
             raise ParameterError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if max_wait_us < 0:
-            raise ParameterError(
-                f"max_wait_us must be >= 0, got {max_wait_us}"
-            )
         if max_pending < 1:
             raise ParameterError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
         self.max_batch_size = max_batch_size
-        self.max_wait_us = max_wait_us
         self.max_pending = max_pending
         self._pending: deque[_Pending] = deque()
         self._wakeup = asyncio.Event()
@@ -270,6 +265,7 @@ class MicroBatcher:
         self._batch_seconds_hist = metrics.histogram("serve.batch_seconds")
         self._batch_wait_hist = metrics.histogram("serve.batch_wait_seconds")
         self._predictions_total = metrics.counter("serve.predictions")
+        self._quarantined_total = metrics.counter("serve.quarantined")
 
     # ---- lifecycle ---------------------------------------------------------
 
@@ -405,47 +401,29 @@ class MicroBatcher:
                     return
                 self._wakeup.clear()
                 await self._wakeup.wait()
-            first = self._pending[0]
-            if (
-                self.max_wait_us > 0
-                and self.max_batch_size > 1
-                and len(self._pending) < self.max_batch_size
-                and not self._closed
-            ):
-                # Give the head-of-line request up to its coalescing
-                # window to attract company: one timer per batch, so the
-                # hot path never allocates per-request timers.
-                remaining = (
-                    first.enqueued + self.max_wait_us * 1e-6
-                    - time.perf_counter()
-                )
-                if remaining > 0:
-                    await asyncio.sleep(remaining)
             batch = [
                 self._pending.popleft()
                 for _ in range(min(self.max_batch_size, len(self._pending)))
             ]
             self._depth_gauge()
-            if batch:
-                try:
-                    self._execute(batch)
-                except Exception as exc:  # defensive: never kill the loop
-                    for pending in batch:
-                        if not pending.future.done():
-                            pending.future.set_exception(
-                                ServeError(f"batch evaluation failed: {exc}")
-                            )
+            try:
+                self._execute(batch)
+            except Exception as exc:  # defensive: never kill the loop
+                for pending in batch:
+                    if not pending.future.done():
+                        pending.future.set_exception(
+                            ServeError(f"batch evaluation failed: {exc}")
+                        )
 
     def _execute(self, batch: list[_Pending]) -> None:
         """Evaluate one coalesced batch and distribute per-row results."""
         started = time.perf_counter()
-        metrics = get_metrics()
         live: list[_Pending] = []
         for pending in batch:
             if pending.future.done():
                 continue  # caller gave up (disconnect/cancellation)
             if pending.deadline is not None and started > pending.deadline:
-                metrics.counter("serve.deadline_expired").inc()
+                get_metrics().counter("serve.deadline_expired").inc()
                 expired_fields = {"queued_s": started - pending.enqueued}
                 if pending.trace_id:
                     expired_fields["trace_id"] = pending.trace_id
@@ -472,71 +450,91 @@ class MicroBatcher:
         with batch_span:
             if batch_span.is_recording:
                 batch_span_id = batch_span.span_id
-            matrix = np.asarray([p.row for p in live], dtype=np.float64)
-            staged = BatchInput(*matrix.T, check=False)
-            # PR 3's row-level quarantine: triage invalid rows instead of
-            # letting one bad worksheet fail the whole coalesced batch.
-            violations = row_violations(staged)
-            if violations:
-                bad = {violation.row: violation for violation in violations}
-                metrics.counter("serve.quarantined").inc(len(bad))
-                event(
-                    _log,
-                    "batch.quarantined",
-                    rows=len(bad),
-                    batch_size=n,
-                )
-                for i, violation in bad.items():
-                    live[i].future.set_exception(
-                        ParameterError(
-                            scalar_diagnostic(
-                                live[i].worksheet, violation.message
-                            )
-                        )
-                    )
-                keep = [i for i in range(n) if i not in bad]
-                live = [live[i] for i in keep]
-                if not live:
-                    return
-                # The kept rows were just vetted by row_violations, so
-                # mark them valid instead of paying a second rule pass.
-                staged = mark_rows_valid(
-                    staged.take(np.asarray(keep, dtype=np.intp), check=False)
-                )
-            else:
-                staged = mark_rows_valid(staged)
-            needed = set()
-            for pending in live:
-                needed.update(pending.modes)
-            # One ndarray->list conversion per column (C speed) instead
-            # of per-row getattr + float() — the per-request marginal
-            # cost here is what the micro-batching win is made of.
-            mode_rows: dict[BufferingMode, list[dict[str, float]]] = {}
-            for mode in sorted(needed, key=lambda m: m.value):
-                # Plan results are views into plan buffers; the .tolist()
-                # below materializes them before the next evaluate.
-                prediction = self._plan.evaluate(staged, mode)
-                columns = [
-                    getattr(prediction, name).tolist()
-                    for name in _RESULT_FIELDS
-                ]
-                mode_rows[mode] = [
-                    dict(zip(_RESULT_FIELDS, values))
-                    for values in zip(*columns)
-                ]
-            for i, pending in enumerate(live):
+            outcomes = self.evaluate(
+                [p.row for p in live],
+                [p.worksheet for p in live],
+                [p.modes for p in live],
+            )
+            for pending, outcome in zip(live, outcomes):
                 if pending.future.done():
                     continue
-                record = {
-                    mode.value: mode_rows[mode][i]
-                    for mode in pending.modes
-                }
-                pending.future.set_result((record, n, batch_span_id))
+                if isinstance(outcome, ParameterError):
+                    pending.future.set_exception(outcome)
+                else:
+                    pending.future.set_result((outcome, n, batch_span_id))
         elapsed = time.perf_counter() - started
-        self.batches += 1
-        self.served += n
         self._batch_seconds_ewma += 0.2 * (elapsed - self._batch_seconds_ewma)
         self._batch_size_hist.observe(n)
         self._batch_seconds_hist.observe(elapsed)
         self._batch_wait_hist.observe(started - batch[0].enqueued)
-        self._predictions_total.inc(n)
+
+    def evaluate(
+        self,
+        rows: Sequence[tuple[float, ...]],
+        worksheets: Sequence[Mapping[str, object]],
+        modes: Sequence[PredictionModes],
+    ) -> list[dict[str, dict[str, float]] | ParameterError]:
+        """Evaluate staged rows; return each row's record or its error.
+
+        ``rows[i]`` is :func:`worksheet_row` of ``worksheets[i]``, and
+        ``modes[i]`` the modes that row asks for.  Invalid rows fail
+        alone: each gets the :class:`ParameterError` whose message is
+        the scalar path's diagnostic, byte for byte.  A valid row's
+        record maps each of its modes, in request order, to the
+        Equations (1)-(11) fields in ``BatchPrediction`` order.
+
+        The service's one evaluation path: ``/v1/predict`` batches and
+        ``/v1/batch`` arrays both call it on the event loop's thread,
+        so the batcher's plan is never shared between threads.
+        ``serve.predictions`` counts the rows evaluated and
+        ``serve.quarantined`` the rows rejected.
+        """
+        n = len(rows)
+        outcomes: list = [None] * n
+        staged = BatchInput(*np.asarray(rows, dtype=np.float64).T, check=False)
+        violations = row_violations(staged)
+        keep: Sequence[int] = range(n)
+        if violations:
+            for violation in violations:
+                outcomes[violation.row] = ParameterError(
+                    scalar_diagnostic(
+                        worksheets[violation.row], violation.message
+                    )
+                )
+            self._quarantined_total.inc(len(violations))
+            event(
+                _log, "batch.quarantined",
+                rows=len(violations), batch_size=n,
+            )
+            keep = [i for i in range(n) if outcomes[i] is None]
+            if keep:
+                staged = staged.take(
+                    np.asarray(keep, dtype=np.intp), check=False
+                )
+        if keep:
+            # row_violations just vetted every kept row: mark them valid
+            # instead of paying a second rule pass per mode.
+            mark_rows_valid(staged)
+            needed = set().union(*(modes[i] for i in keep))
+            mode_rows: dict[BufferingMode, list[dict[str, float]]] = {}
+            for mode in sorted(needed, key=lambda m: m.value):
+                # The plan's result columns are views into its buffers;
+                # one .tolist() per column copies them out (at C speed,
+                # not per row) before the next evaluate reuses them.
+                prediction = self._plan.evaluate(staged, mode)
+                columns = [
+                    getattr(prediction, name).tolist()
+                    for name in _RESULT_COLUMNS
+                ]
+                mode_rows[mode] = [
+                    dict(zip(_RESULT_COLUMNS, values))
+                    for values in zip(*columns)
+                ]
+            for out_i, i in enumerate(keep):
+                outcomes[i] = {
+                    mode.value: mode_rows[mode][out_i] for mode in modes[i]
+                }
+        self.batches += 1
+        self.served += len(keep)
+        self._predictions_total.inc(len(keep))
+        return outcomes

@@ -111,7 +111,6 @@ class ShardConfig:
     access_log: str | None = None
     # RATApp / RATServer knobs, mirroring the single-process `serve()`.
     max_batch_size: int = 64
-    max_wait_us: float = 200.0
     max_pending: int = 1024
     max_body_bytes: int = 1 << 20
     max_batch_rows: int = 4096
@@ -141,7 +140,6 @@ async def run_shard(config: ShardConfig) -> None:
     log = get_logger("serve.shard")
     app = RATApp(
         max_batch_size=config.max_batch_size,
-        max_wait_us=config.max_wait_us,
         max_pending=config.max_pending,
         max_body_bytes=config.max_body_bytes,
         max_batch_rows=config.max_batch_rows,

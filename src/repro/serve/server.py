@@ -231,7 +231,6 @@ async def serve(
     host: str = "127.0.0.1",
     port: int = 8321,
     max_batch_size: int = 64,
-    max_wait_us: float = 200.0,
     max_pending: int = 1024,
     max_body_bytes: int = 1 << 20,
     max_batch_rows: int = 4096,
@@ -256,7 +255,6 @@ async def serve(
     )
     app = RATApp(
         max_batch_size=max_batch_size,
-        max_wait_us=max_wait_us,
         max_pending=max_pending,
         max_body_bytes=max_body_bytes,
         max_batch_rows=max_batch_rows,
@@ -278,13 +276,13 @@ async def serve(
     if not quiet:
         print(
             f"rat serve: listening on http://{server.host}:{server.port} "
-            f"(max_batch={max_batch_size}, max_wait_us={max_wait_us:g})",
+            f"(max_batch={max_batch_size})",
             flush=True,
         )
     event(
         _log, "server.started",
         host=server.host, port=server.port,
-        max_batch_size=max_batch_size, max_wait_us=max_wait_us,
+        max_batch_size=max_batch_size,
     )
     try:
         await server.run()

@@ -255,6 +255,15 @@ class TestBroadcastMetadata:
                 simple_rat, 4, {"alpha_write": alphas, "alpha_read": alphas}
             )
 
+    def test_take_gathers_a_shared_column_once(self, simple_rat):
+        alphas = np.array([0.5, 0.75, 0.25, 1.0])
+        batch = BatchInput.from_base(
+            simple_rat, 4, {"alpha_write": alphas, "alpha_read": alphas}
+        )
+        taken = batch.take(np.array([0, 2, 3], dtype=np.intp))
+        assert taken.alpha_write is taken.alpha_read
+        assert taken.alpha_write.tolist() == [0.5, 0.25, 1.0]
+
     def test_unknown_broadcast_name_rejected(self, simple_rat):
         batch = BatchInput.from_base(simple_rat, 4)
         columns = {

@@ -9,6 +9,8 @@ from repro.core.batch import BatchInput
 from repro.core.buffering import BufferingMode
 from repro.core.params import RATInput
 from repro.core.throughput import predict
+from repro.obs import get_metrics
+from repro.serve import app as app_module
 from repro.serve.app import RATApp
 from repro.serve.protocol import Request
 
@@ -227,7 +229,7 @@ class TestBatchEndpoint:
     @pytest.mark.parametrize("bad_rows", [0, 1])
     def test_rows_validated_once(self, monkeypatch, bad_rows):
         # row_violations triages every row; neither selecting the kept
-        # rows nor batch_predict (once per mode) runs the rules again.
+        # rows nor the kernel (once per mode) runs the rules again.
         calls = []
         validate = BatchInput._validate
 
@@ -245,6 +247,58 @@ class TestBatchEndpoint:
         assert status == 200
         assert payload["evaluated"] == 64 - bad_rows
         assert calls == []
+
+    @pytest.mark.parametrize("rows, polled", [(3, True), (2, False)])
+    def test_long_array_polls_the_loop_before_encoding(
+        self, monkeypatch, rows, polled
+    ):
+        """An array longer than a micro-batch lets a task woken while it
+        was evaluated run before it is encoded; a shorter one encodes
+        at once."""
+        events = []
+        encode = app_module.json_response
+
+        def recording_encode(*args, **kwargs):
+            events.append("encoded")
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(app_module, "json_response", recording_encode)
+
+        async def body():
+            app = RATApp(max_batch_size=2)
+            await app.startup()
+            evaluate = app._evaluate_rows
+            woken = []
+
+            async def bystander(ready):
+                await ready
+                events.append("bystander")
+
+            def evaluate_rows(*args):
+                # Woken while the loop is busy, as a socket read wakes
+                # its connection's handler.
+                loop = asyncio.get_running_loop()
+                ready = loop.create_future()
+                woken.append(asyncio.ensure_future(bystander(ready)))
+                loop.call_soon(ready.set_result, None)
+                events.append("evaluated")
+                return evaluate(*args)
+
+            app._evaluate_rows = evaluate_rows
+            try:
+                response = await app.handle(
+                    post("/v1/batch", {"worksheets": [WORKSHEET] * rows})
+                )
+                await asyncio.gather(*woken)
+                return response
+            finally:
+                await app.shutdown()
+
+        assert asyncio.run(body()).status == 200
+        assert events == (
+            ["evaluated", "bystander", "encoded"] if polled
+            else ["evaluated", "encoded", "bystander"]
+        )
 
     def test_malformed_row_reported_in_place(self):
         [(status, payload, _)] = run_app(
@@ -265,6 +319,47 @@ class TestBatchEndpoint:
         )
         assert status == 413
         assert "exceeds" in payload["error"]
+
+
+class TestRowCounters:
+    def test_both_routes_count_evaluated_and_quarantined_rows(self):
+        """The same three rows, two valid and one invalid, count the
+        same on both routes: predictions are rows evaluated, and each
+        route evaluates them as one batch."""
+        sheets = [WORKSHEET, {**WORKSHEET, "alpha_write": 1.5}, WORKSHEET]
+        metrics = get_metrics()
+        predictions = metrics.counter("serve.predictions")
+        quarantined = metrics.counter("serve.quarantined")
+
+        async def body():
+            app = RATApp()
+            await app.startup()
+
+            def counts():
+                batcher = app.batcher
+                return (predictions.value, quarantined.value,
+                        batcher.served, batcher.batches)
+
+            try:
+                before = counts()
+                responses = await asyncio.gather(
+                    *[app.handle(post("/v1/predict", ws)) for ws in sheets]
+                )
+                assert [r.status for r in responses] == [200, 400, 200]
+                assert json.loads(responses[0].body)["batch_size"] == 3
+                coalesced = counts()
+                response = await app.handle(
+                    post("/v1/batch", {"worksheets": sheets})
+                )
+                assert json.loads(response.body)["evaluated"] == 2
+                return before, coalesced, counts()
+            finally:
+                await app.shutdown()
+
+        before, coalesced, batched = asyncio.run(body())
+        delta = [b - a for a, b in zip(before, coalesced)]
+        assert delta == [2, 1, 2, 1]
+        assert [b - a for a, b in zip(coalesced, batched)] == delta
 
 
 class TestExploreEndpoint:
@@ -336,7 +431,7 @@ class TestMetricsEndpoint:
 class TestErrorMapping:
     def test_429_carries_retry_after_header(self):
         async def body():
-            app = RATApp(max_pending=1, max_wait_us=50000.0)
+            app = RATApp(max_pending=1)
             await app.startup()
             try:
                 first = asyncio.ensure_future(

@@ -14,6 +14,7 @@ from repro.errors import (
     ParameterError,
     ServeError,
 )
+from repro.serve import batcher as batcher_module
 from repro.serve.batcher import (
     MicroBatcher,
     resolve_modes,
@@ -132,7 +133,7 @@ class TestBitwiseParity:
                 *[batcher.submit(ws) for ws in variants]
             )
 
-        results = run(_with_batcher(body, max_wait_us=5000.0))
+        results = run(_with_batcher(body))
         sizes = {batch_size for _, batch_size in results}
         assert sizes == {8}, "expected all 8 requests in one batch"
         for ws, (record, _) in zip(variants, results):
@@ -159,7 +160,7 @@ class TestCoalescing:
                 *[batcher.submit(WORKSHEET) for _ in range(32)]
             )
 
-        results = run(_with_batcher(body, max_wait_us=5000.0))
+        results = run(_with_batcher(body))
         assert {batch_size for _, batch_size in results} == {32}
         assert len(results) == 32
 
@@ -169,15 +170,14 @@ class TestCoalescing:
                 *[batcher.submit(WORKSHEET) for _ in range(10)]
             )
 
-        results = run(_with_batcher(body, max_batch_size=4,
-                                    max_wait_us=2000.0))
+        results = run(_with_batcher(body, max_batch_size=4))
         assert max(batch_size for _, batch_size in results) <= 4
 
     def test_zero_wait_still_serves(self):
         async def body(batcher):
             return await batcher.submit(WORKSHEET)
 
-        record, batch_size = run(_with_batcher(body, max_wait_us=0.0))
+        record, batch_size = run(_with_batcher(body))
         assert batch_size == 1
         assert record["single"]["speedup"] > 0
 
@@ -190,11 +190,59 @@ class TestCoalescing:
             )
 
         only_single, only_double, both = run(
-            _with_batcher(body, max_wait_us=5000.0)
+            _with_batcher(body)
         )
         assert set(only_single[0]) == {"single"}
         assert set(only_double[0]) == {"double"}
         assert set(both[0]) == {"single", "double"}
+
+
+class TestBatchOnWake:
+    def test_lone_submit_never_sleeps(self, monkeypatch):
+        """Nothing holds a request back for company: a lone submit is
+        evaluated as soon as the consumer wakes, with no timer."""
+        real_sleep = asyncio.sleep
+        slept: list[float] = []
+
+        async def recording_sleep(delay, *args, **kwargs):
+            slept.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(batcher_module.asyncio, "sleep", recording_sleep)
+
+        async def body(batcher):
+            return await batcher.submit(WORKSHEET)
+
+        record, batch_size = run(_with_batcher(body))
+        assert slept == []
+        assert batch_size == 1
+        assert record["single"]["speedup"] > 0
+
+    def test_requests_queued_during_a_batch_form_the_next(self):
+        """What queues while one batch runs is the next batch, whole."""
+        sizes: list[int] = []
+        followers: list[asyncio.Future] = []
+
+        async def body(batcher):
+            execute = batcher._execute
+
+            def execute_and_enqueue(batch):
+                sizes.append(len(batch))
+                if len(sizes) == 1:
+                    followers.extend(
+                        asyncio.ensure_future(batcher.submit(WORKSHEET))
+                        for _ in range(5)
+                    )
+                execute(batch)
+
+            batcher._execute = execute_and_enqueue
+            first = await batcher.submit(WORKSHEET)
+            return first, await asyncio.gather(*followers)
+
+        (_, first_size), rest = run(_with_batcher(body))
+        assert first_size == 1
+        assert sizes == [1, 5]
+        assert [batch_size for _, batch_size in rest] == [5] * 5
 
 
 class TestQuarantine:
@@ -209,7 +257,7 @@ class TestQuarantine:
             ]
             return await asyncio.gather(*futures, return_exceptions=True)
 
-        ok1, err, ok2 = run(_with_batcher(body, max_wait_us=5000.0))
+        ok1, err, ok2 = run(_with_batcher(body))
         assert isinstance(err, ParameterError)
         for ok in (ok1, ok2):
             record, _ = ok
@@ -241,7 +289,7 @@ class TestQuarantine:
                 )
                 return results[1]
 
-            served = run(_with_batcher(body, max_wait_us=5000.0))
+            served = run(_with_batcher(body))
             assert isinstance(served, ParameterError)
             assert str(served) == str(scalar_info.value)
 
@@ -257,8 +305,8 @@ class TestAdmissionControl:
                 asyncio.ensure_future(batcher.submit(WORKSHEET))
                 for _ in range(4)
             ]
-            # One yield lets the submits enqueue; the long coalescing
-            # window keeps the consumer from draining them yet.
+            # One yield lets the four submits enqueue; the consumer the
+            # first one woke runs only after this task resumes.
             await asyncio.sleep(0)
             with pytest.raises(AdmissionError) as info:
                 await batcher.submit(WORKSHEET)
@@ -266,7 +314,7 @@ class TestAdmissionControl:
             return await asyncio.gather(*tasks)
 
         results = run(
-            _with_batcher(body, max_pending=4, max_wait_us=50000.0)
+            _with_batcher(body, max_pending=4)
         )
         assert len(results) == 4
 
@@ -287,7 +335,7 @@ class TestAdmissionControl:
                 await batcher.submit(WORKSHEET, deadline_s=-1.0)
             return await good
 
-        record, _ = run(_with_batcher(body, max_wait_us=1000.0))
+        record, _ = run(_with_batcher(body))
         assert record["single"]["speedup"] > 0
 
     def test_retry_after_scales_with_depth(self):
@@ -300,15 +348,13 @@ class TestAdmissionControl:
         with pytest.raises(ParameterError):
             MicroBatcher(max_batch_size=0)
         with pytest.raises(ParameterError):
-            MicroBatcher(max_wait_us=-1.0)
-        with pytest.raises(ParameterError):
             MicroBatcher(max_pending=0)
 
 
 class TestLifecycle:
     def test_close_drains_queued_work(self):
         async def body():
-            batcher = MicroBatcher(max_wait_us=50000.0)
+            batcher = MicroBatcher()
             batcher.start()
             futures = [
                 asyncio.ensure_future(batcher.submit(WORKSHEET))
@@ -323,7 +369,7 @@ class TestLifecycle:
 
     def test_close_without_drain_fails_queued_work(self):
         async def body():
-            batcher = MicroBatcher(max_wait_us=50000.0)
+            batcher = MicroBatcher()
             batcher.start()
             future = asyncio.ensure_future(batcher.submit(WORKSHEET))
             await asyncio.sleep(0)
@@ -350,7 +396,7 @@ class TestLifecycle:
             )
             return batcher.batches, batcher.served
 
-        batches, served = run(_with_batcher(body, max_wait_us=5000.0))
+        batches, served = run(_with_batcher(body))
         assert served == 6
         assert 1 <= batches <= 6
 
@@ -371,7 +417,7 @@ class TestPlanReuse:
                 )
             return compiles.value - before
 
-        compiled_during_serving = run(_with_batcher(body, max_wait_us=500.0))
+        compiled_during_serving = run(_with_batcher(body))
         assert compiled_during_serving == 0
 
     def test_parity_survives_plan_path_with_quarantine(self):
@@ -387,7 +433,7 @@ class TestPlanReuse:
             return results
 
         first, poisoned, second = run(
-            _with_batcher(body, max_wait_us=5000.0)
+            _with_batcher(body)
         )
         assert isinstance(poisoned, ParameterError)
         rat = RATInput.from_dict(WORKSHEET)

@@ -84,7 +84,7 @@ class TestEndToEnd:
             return json.loads(body)["batch_size"]
 
         async def body():
-            app, server = await _start_server(max_wait_us=10000.0)
+            app, server = await _start_server()
             try:
                 return await asyncio.gather(
                     *[one(server.port) for _ in range(16)]
@@ -182,16 +182,20 @@ class TestFraming:
 class TestDrain:
     def test_drain_serves_inflight_then_stops(self):
         async def body():
-            app, server = await _start_server(max_wait_us=20000.0)
-            inflight = asyncio.ensure_future(_roundtrip(
+            app, server = await _start_server()
+            run_task = asyncio.ensure_future(server.run())
+            submit = app.batcher.submit
+
+            async def drain_then_submit(*args, **kwargs):
+                server.drain()  # the request is fully received: in flight
+                return await submit(*args, **kwargs)
+
+            app.batcher.submit = drain_then_submit
+            [(status, _, raw)] = await _roundtrip(
                 server.port,
                 _request_bytes("POST", "/v1/predict", WORKSHEET),
-            ))
-            await asyncio.sleep(0.01)  # let it reach the batcher queue
-            run_task = asyncio.ensure_future(server.run())
-            server.drain()
+            )
             await asyncio.wait_for(run_task, timeout=10.0)
-            [(status, _, raw)] = await inflight
             # After drain the listener is gone.
             try:
                 await asyncio.open_connection("127.0.0.1", server.port)

@@ -43,22 +43,50 @@ def _wire(method, path, payload=None, traceparent=None):
     return (head + "\r\n").encode() + body
 
 
+async def _read_response(reader):
+    head = await reader.readuntil(b"\r\n\r\n")
+    headers = {}
+    for line in head.split(b"\r\n")[1:]:
+        if b":" in line:
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower().decode()] = value.strip().decode()
+    body = await reader.readexactly(int(headers.get("content-length", "0")))
+    return int(head.split(b" ", 2)[1]), headers, body
+
+
 async def _send(port, wire):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         writer.write(wire)
         await writer.drain()
-        head = await reader.readuntil(b"\r\n\r\n")
-        headers = {}
-        for line in head.split(b"\r\n")[1:]:
-            if b":" in line:
-                name, _, value = line.partition(b":")
-                headers[name.strip().lower().decode()] = value.strip().decode()
-        body = await reader.readexactly(int(headers.get("content-length", "0")))
-        return int(head.split(b" ", 2)[1]), headers, body
+        return await _read_response(reader)
     finally:
         writer.close()
         await writer.wait_closed()
+
+
+async def _send_together(port, *wires):
+    """Send each request on its own connection, all in one loop step.
+
+    Each connection first answers a liveness probe, so the server is
+    reading every one of them; the requests then arrive in one poll of
+    the server's loop and all reach the micro-batcher before its
+    consumer wakes.
+    """
+    connections = [
+        await asyncio.open_connection("127.0.0.1", port) for _ in wires
+    ]
+    try:
+        for reader, writer in connections:
+            writer.write(_wire("GET", "/healthz/live"))
+            await _read_response(reader)
+        for (_, writer), wire in zip(connections, wires):
+            writer.write(wire)
+        return [await _read_response(reader) for reader, _ in connections]
+    finally:
+        for _, writer in connections:
+            writer.close()
+            await writer.wait_closed()
 
 
 def spans_by_name(name):
@@ -106,19 +134,14 @@ class TestTraceparentPropagation:
         other = "aaaabbbbccccddddeeeeffff00001111"
 
         async def body():
-            app, server = await _start(max_wait_us=20000.0)
+            app, server = await _start()
             try:
-                return await asyncio.gather(
-                    _send(
-                        server.port,
-                        _wire("POST", "/v1/predict", WORKSHEET, TRACEPARENT),
-                    ),
-                    _send(
-                        server.port,
-                        _wire(
-                            "POST", "/v1/predict", WORKSHEET,
-                            f"00-{other}-{SPAN}-01",
-                        ),
+                return await _send_together(
+                    server.port,
+                    _wire("POST", "/v1/predict", WORKSHEET, TRACEPARENT),
+                    _wire(
+                        "POST", "/v1/predict", WORKSHEET,
+                        f"00-{other}-{SPAN}-01",
                     ),
                 )
             finally:
@@ -201,26 +224,19 @@ class TestRetryAfterColdStart:
         is invalid HTTP)."""
 
         async def body():
-            # One-slot queue that never fires: the second submit is
-            # rejected while batch-latency statistics are still virgin.
-            app, server = await _start(
-                max_pending=1, max_wait_us=5_000_000.0
-            )
+            # One-slot queue: two requests that reach the batcher in one
+            # loop step fill it, so the second is rejected while
+            # batch-latency statistics are still virgin.
+            app, server = await _start(max_pending=1)
             try:
-                first = asyncio.ensure_future(_send(
-                    server.port, _wire("POST", "/v1/predict", WORKSHEET)
-                ))
-                await asyncio.sleep(0.05)  # let it occupy the queue
-                rejected = await _send(
-                    server.port, _wire("POST", "/v1/predict", WORKSHEET)
-                )
-                first.cancel()
-                return rejected
+                predict = _wire("POST", "/v1/predict", WORKSHEET)
+                return await _send_together(server.port, predict, predict)
             finally:
                 await server.shutdown()
 
-        status, headers, raw = asyncio.run(body())
-        assert status == 429, raw
+        responses = sorted(asyncio.run(body()), key=lambda r: r[0])
+        assert [status for status, _, _ in responses] == [200, 429]
+        _, headers, _ = responses[1]
         value = headers["retry-after"]
         assert re.fullmatch(r"\d+", value), f"not a whole second: {value!r}"
         assert int(value) >= 1

@@ -403,7 +403,6 @@ class TestServeCommand:
         assert args.host == "127.0.0.1"
         assert args.port == 8321
         assert args.max_batch == 64
-        assert args.max_wait_us == 200.0
         assert args.max_pending == 1024
         # Cluster mode is opt-in: 0 shards means single-process.
         assert args.shards == 0
@@ -429,15 +428,20 @@ class TestServeCommand:
     def test_parser_overrides(self):
         args = build_parser().parse_args([
             "serve", "--host", "0.0.0.0", "--port", "0",
-            "--max-batch", "256", "--max-wait-us", "500",
-            "--max-pending", "32",
+            "--max-batch", "256", "--max-pending", "32",
             "--deadline-ms", "250", "--drain-timeout", "3",
         ])
         assert args.port == 0
         assert args.max_batch == 256
-        assert args.max_wait_us == 500.0
         assert args.deadline_ms == 250.0
         assert args.drain_timeout == 3.0
+
+    def test_coalescing_window_flag_is_gone(self, capsys):
+        # Batches form on wake; there is no window left to set.
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", "--max-wait-us", "0"])
+        assert info.value.code == 2
+        assert "--max-wait-us" in capsys.readouterr().err
 
     def test_serve_boots_answers_and_drains(self):
         """End-to-end through the serving stack the CLI handler wraps:
