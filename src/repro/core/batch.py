@@ -23,12 +23,18 @@ layer:
   :class:`~repro.core.throughput.ThroughputPrediction`, so callers can
   keep their scalar result types while computing in bulk.
 
-One kernel, :func:`_predict_into`, is the only array evaluator of the
-equations.  It writes into result columns its caller supplies:
-:func:`batch_predict` hands it freshly allocated columns the caller then
-owns, :class:`~repro.core.plan.PredictionPlan` hands it plan-owned
-buffers it reuses across calls, and :func:`repro.explore.explore` hands
-it each chunk's slices of the exploration's result columns.
+The equations have one array statement in two halves:
+:func:`_transfer_compute` (Eqs (1)-(4)) and :func:`_iteration`
+(Eqs (5)-(11)).  Two evaluation orders share it.  :func:`_predict_into`
+runs both halves row by row, tile by tile, into result columns its
+caller supplies: :func:`batch_predict` hands it freshly allocated
+columns the caller then owns, :class:`~repro.core.plan.PredictionPlan`
+hands it plan-owned buffers it reuses across calls, and
+:func:`repro.explore.explore` hands it each chunk's slices of the
+exploration's result columns.  :class:`GridKernel` evaluates a full
+cross product of axis values: Eqs (1)-(4) once, on the axes they depend
+on, then per chunk, their terms broadcast into the chunk's slices and
+Eqs (5)-(11) over them.
 
 Validation mirrors the scalar dataclasses' ``__post_init__`` checks but
 runs vectorized; the first offending row is named in the error message.
@@ -43,6 +49,7 @@ basis of the exploration layer's row-level quarantine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -68,6 +75,7 @@ __all__ = [
     "DEFAULT_TILE",
     "BatchInput",
     "BatchPrediction",
+    "GridKernel",
     "RowViolation",
     "batch_predict",
     "mark_rows_valid",
@@ -131,6 +139,30 @@ def _as_column(name: str, values: object, n: int) -> np.ndarray:
             f"{name} has {array.shape[0]} rows, expected {n}"
         )
     return array
+
+
+def _base_values(base: RATInput) -> dict[str, float]:
+    """The base worksheet's value of every column, SI, as Python floats."""
+    return {
+        "elements_in": float(base.dataset.elements_in),
+        "elements_out": float(base.dataset.elements_out),
+        "bytes_per_element": float(base.dataset.bytes_per_element),
+        "ideal_bandwidth": float(base.communication.ideal_bandwidth),
+        "alpha_write": float(base.communication.alpha_write),
+        "alpha_read": float(base.communication.alpha_read),
+        "ops_per_element": float(base.computation.ops_per_element),
+        "throughput_proc": float(base.computation.throughput_proc),
+        "clock_hz": float(base.computation.clock_hz),
+        "t_soft": float(base.software.t_soft),
+        "n_iterations": float(base.software.n_iterations),
+    }
+
+
+def _check_column_name(name: str) -> None:
+    if name not in _COLUMNS:
+        raise ParameterError(
+            f"unknown batch column {name!r}; known: {sorted(_COLUMNS)}"
+        )
 
 
 # Valid-row masks, one per rule kind.  Each is the scalar rule in two
@@ -441,25 +473,10 @@ class BatchInput:
         """
         if n < 1:
             raise ParameterError(f"batch size must be >= 1, got {n}")
-        columns: dict[str, object] = {
-            "elements_in": float(base.dataset.elements_in),
-            "elements_out": float(base.dataset.elements_out),
-            "bytes_per_element": float(base.dataset.bytes_per_element),
-            "ideal_bandwidth": float(base.communication.ideal_bandwidth),
-            "alpha_write": float(base.communication.alpha_write),
-            "alpha_read": float(base.communication.alpha_read),
-            "ops_per_element": float(base.computation.ops_per_element),
-            "throughput_proc": float(base.computation.throughput_proc),
-            "clock_hz": float(base.computation.clock_hz),
-            "t_soft": float(base.software.t_soft),
-            "n_iterations": float(base.software.n_iterations),
-        }
+        columns: dict[str, object] = _base_values(base)
         broadcast = set(_COLUMNS)
         for name, values in (overrides or {}).items():
-            if name not in columns:
-                raise ParameterError(
-                    f"unknown batch column {name!r}; known: {sorted(columns)}"
-                )
+            _check_column_name(name)
             columns[name] = values
             if np.ndim(values) != 0:
                 broadcast.discard(name)  # per-row values: not a broadcast
@@ -698,6 +715,21 @@ def batch_predict(
     return BatchPrediction(batch, mode, *columns)
 
 
+def _iteration_ufunc(mode: BufferingMode) -> np.ufunc:
+    """Equation (5) or (6): how one iteration combines comm and comp."""
+    if mode is BufferingMode.SINGLE:
+        return np.add
+    if mode is BufferingMode.DOUBLE:
+        return np.maximum
+    raise ParameterError(f"unknown buffering mode {mode!r}")
+
+
+def _record(n: int, speedup: np.ndarray) -> None:
+    metrics = get_metrics()
+    metrics.counter("throughput.predictions").inc(n)
+    metrics.histogram("throughput.speedup").observe_many(speedup)
+
+
 def _predict_into(
     batch: BatchInput, mode: BufferingMode, out: Sequence[np.ndarray]
 ) -> None:
@@ -718,12 +750,7 @@ def _predict_into(
     applied in the scalar path's order, so neither tiling nor folding
     changes any row's bits.
     """
-    if mode is BufferingMode.SINGLE:
-        iteration = np.add
-    elif mode is BufferingMode.DOUBLE:
-        iteration = np.maximum
-    else:
-        raise ParameterError(f"unknown buffering mode {mode!r}")
+    iteration = _iteration_ufunc(mode)
     if not batch.checked:
         batch._validate()
     n = len(batch)
@@ -744,9 +771,7 @@ def _predict_into(
                 [column[t] for column in out],
                 iteration,
             )
-    metrics = get_metrics()
-    metrics.counter("throughput.predictions").inc(n)
-    metrics.histogram("throughput.speedup").observe_many(out[5])
+    _record(n, out[5])
 
 
 def _equations(
@@ -756,23 +781,63 @@ def _equations(
 ) -> None:
     """Equations (1)-(11) over one tile, in the scalar path's order.
 
-    Intermediates land in the tile's result views; ``s`` (the speedup
-    view) is scratch until Equation (7) fills it.
+    Intermediates land in the tile's result views; the speedup view is
+    scratch until Equation (7) fills it.
     """
-    e_in, e_out, bpe, bw, a_w, a_r, ops, thr, clk, t_soft, n_iter = inputs
-    t_input, t_output, t_comm, t_comp, t_rc, s, u_comp, u_comm = out
+    _transfer_compute(inputs, out[:4], out[5])
+    _iteration(out[2], out[3], inputs[9], inputs[10], out, iteration)
+
+
+def _transfer_compute(
+    inputs: Sequence[np.ndarray | float],
+    out: Sequence[np.ndarray | None],
+    scratch: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Equations (1)-(4): returns ``(t_input, t_output, t_comm, t_comp)``.
+
+    Each lands in its ``out`` entry, or in a fresh array shaped to its
+    operands where that entry is ``None``; ``scratch`` (or a fresh
+    array, if ``None``) receives the denominators.  The operands are a
+    row tile's columns, or a grid's axis columns, which make each term
+    an array over the axes it depends on.
+    """
+    e_in, e_out, bpe, bw, a_w, a_r, ops, thr, clk = inputs[:9]
+    t_input, t_output, t_comm, t_comp = out
     # Equation (2): bytes_in / (alpha_write * bandwidth).
-    np.divide(_times(e_in, bpe, t_input), _times(a_w, bw, s), t_input)
+    t_input = np.divide(
+        _times(e_in, bpe, t_input), _times(a_w, bw, scratch), t_input
+    )
     # Equation (3), with the scalar path's zero-output short-circuit.
-    np.divide(_times(e_out, bpe, t_output), _times(a_r, bw, s), t_output)
+    t_output = np.divide(
+        _times(e_out, bpe, t_output), _times(a_r, bw, scratch), t_output
+    )
     if type(e_out) is not float:
-        t_output[e_out == 0] = 0.0
+        np.copyto(t_output, 0.0, where=e_out == 0)
     elif e_out == 0:
         t_output.fill(0.0)
     # Equations (1), (4).
-    np.add(t_input, t_output, t_comm)
-    np.divide(_times(e_in, ops, t_comp), _times(clk, thr, s), t_comp)
-    # Equations (5)-(11); s holds the iteration time until (7).
+    t_comm = np.add(t_input, t_output, t_comm)
+    t_comp = np.divide(
+        _times(e_in, ops, t_comp), _times(clk, thr, scratch), t_comp
+    )
+    return t_input, t_output, t_comm, t_comp
+
+
+def _iteration(
+    t_comm: np.ndarray,
+    t_comp: np.ndarray,
+    t_soft: np.ndarray | float,
+    n_iter: np.ndarray | float,
+    out: Sequence[np.ndarray],
+    iteration: np.ufunc,
+) -> None:
+    """Equations (5)-(11) into ``out``'s last four result columns.
+
+    ``out`` holds all eight result columns; ``t_comm`` and ``t_comp``
+    may be ``out``'s own or any operands that broadcast to its shape.
+    The speedup column holds the iteration time until Equation (7).
+    """
+    t_rc, s, u_comp, u_comm = out[4:]
     iteration(t_comm, t_comp, out=s)
     np.divide(t_comp, s, u_comp)
     np.divide(t_comm, s, u_comm)
@@ -780,8 +845,109 @@ def _equations(
     np.divide(t_soft, t_rc, s)
 
 
+class GridKernel:
+    """Equations (1)-(11) over the full cross product of axis columns.
+
+    ``columns`` maps batch column names (SI) to arrays that broadcast
+    over the grid: one dimension per axis, of that axis's length where
+    the column follows the axis and 1 elsewhere.  Every other column
+    keeps the base worksheet's value.  Rows are the grid's points in C
+    order, last axis fastest, as :meth:`DesignSpace.grid
+    <repro.explore.space.DesignSpace.grid>` lists them.  The caller
+    vouches that every row passes the validation rules.
+
+    Equations (1)-(4) run once, here, on the axes they depend on:
+    ``t_comm`` over the alpha axes, ``t_comp`` over clock x
+    throughput_proc.  :meth:`predict_into` then evaluates any flat row
+    range.  Every operation is elementwise and in the scalar path's
+    order, so each row's bits equal :func:`_predict_into`'s.
+    """
+
+    def __init__(
+        self, base: RATInput, columns: Mapping[str, np.ndarray]
+    ) -> None:
+        values: dict[str, object] = _base_values(base)
+        for name, column in columns.items():
+            _check_column_name(name)
+            values[name] = np.asarray(column, dtype=np.float64)
+        self.shape = np.broadcast_shapes(
+            *(np.shape(value) for value in values.values())
+        )
+        # A base value as a one-element grid array keeps every term
+        # below an array over the grid's dimensions.
+        ones = (1,) * len(self.shape)
+        inputs = [
+            np.full(ones, value) if type(value) is float else value
+            for value in (values[name] for name in _COLUMNS)
+        ]
+        terms = _transfer_compute(inputs, (None,) * 4, None)
+        self._terms = [
+            np.broadcast_to(term, self.shape)
+            for term in (*terms, inputs[9], inputs[10])
+        ]
+
+    def predict_into(
+        self, lo: int, hi: int, mode: BufferingMode, out: Sequence[np.ndarray]
+    ) -> None:
+        """Evaluate grid rows ``[lo, hi)`` into ``out``.
+
+        ``out`` holds the eight result columns, in
+        :class:`BatchPrediction` field order, each a contiguous column
+        of ``hi - lo`` rows.  The range is split into :func:`_boxes`,
+        and each box's result slices are reshaped to the box as views.
+        Each box receives Equations (1)-(4) as broadcast copies of the
+        terms, then Equations (5)-(11) over those copies, which are
+        contiguous and still in cache.
+        """
+        iteration = _iteration_ufunc(mode)
+        for start, stop, index in _boxes(self.shape, lo, hi):
+            terms = [term[index] for term in self._terms]
+            views = [
+                column[start - lo:stop - lo].reshape(terms[0].shape)
+                for column in out
+            ]
+            for view, term in zip(views[:4], terms):
+                np.copyto(view, term)
+            _iteration(
+                views[2], views[3], terms[4], terms[5], views, iteration
+            )
+        _record(hi - lo, out[5])
+
+
+def _boxes(
+    shape: tuple[int, ...], lo: int, hi: int
+) -> Iterator[tuple[int, int, tuple[int | slice, ...]]]:
+    """Split flat rows ``[lo, hi)`` of a C-order grid into boxes.
+
+    A box fixes the leading axes, takes a range of one axis and all of
+    each trailing axis, so its rows are contiguous.  Each box, from
+    ``lo`` on, ranges over the outermost axis it can, so there are at
+    most ``2k - 1`` of them for ``k`` axes.  Yields ``(start, stop,
+    index)``: the box's rows and the index that selects it from a
+    grid-shaped array.
+    """
+    strides = [math.prod(shape[d + 1:]) for d in range(len(shape))]
+    start = lo
+    while start < hi:
+        d = next(
+            d for d, stride in enumerate(strides)
+            if start % stride == 0 and start + stride <= hi
+        )
+        stride = strides[d]
+        block = stride * shape[d]
+        stop = min(hi - (hi - start) % stride, start - start % block + block)
+        # The box's first row as a grid index; its trailing entries are 0.
+        corner = [start // s % length for s, length in zip(strides, shape)]
+        index = (
+            *corner[:d],
+            slice(corner[d], corner[d] + (stop - start) // stride),
+        )
+        yield start, stop, index
+        start = stop
+
+
 def _times(
-    a: np.ndarray | float, b: np.ndarray | float, out: np.ndarray
+    a: np.ndarray | float, b: np.ndarray | float, out: np.ndarray | None
 ) -> np.ndarray | float:
     """``a * b``: one scalar multiply if both are broadcast floats."""
     if type(a) is float and type(b) is float:

@@ -5,7 +5,9 @@
 allocates the call's eight result columns once, and splits the batch
 into fixed-size chunks.  Each chunk runs the Eq (1)-(11) kernel
 in-process, straight into its slice of those columns, so results are
-neither copied out per chunk nor concatenated.  It has no process pool:
+neither copied out per chunk nor concatenated.  A clean grid's chunks
+run the same equations folded onto its axes
+(:class:`~repro.core.batch.GridKernel`).  It has no process pool:
 pickling a chunk's rows to a worker and its results back costs far more
 than the kernel spends on them (``docs/performance.md``, "Why explore()
 has no process pool").
@@ -66,6 +68,7 @@ from ..core.batch import (
     _RESULT_COLUMNS,
     BatchInput,
     BatchPrediction,
+    GridKernel,
     _predict_into,
     mark_rows_valid,
 )
@@ -299,6 +302,14 @@ def explore(
     ``on_error`` picks the invalid-design policy
     (``"fail"``/``"skip"``/``"quarantine"``, see the module docstring)
     and ``checkpoint``/``resume`` the crash-recovery journal.
+
+    A :meth:`DesignSpace.grid` whose every axis value passes the
+    validation rules is evaluated folded, under every policy: the rules
+    run once per axis value (:meth:`DesignSpace.grid_columns`), and
+    :class:`~repro.core.batch.GridKernel` evaluates Equations (1)-(4)
+    once per axis value and Equations (5)-(11) per row.  Its results,
+    chunks, spans and journals are bit for bit those of the row path,
+    which every other space, and a grid with a bad axis value, takes.
     """
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -316,17 +327,30 @@ def explore(
             "explore",
         ):
             point_failures: tuple[PointFailure, ...] = ()
-            batch = space.to_batch(check=(on_error == "fail"))
             valid_indices: np.ndarray | None = None
-            eval_batch = batch
-            if on_error != "fail":
-                valid_indices, point_failures = quarantine_rows(batch, space)
-                # quarantine_rows just vetted every kept row; mark them
-                # valid rather than re-running the rules inside take().
-                eval_batch = mark_rows_valid(
-                    batch.take(valid_indices, check=False)
-                    if point_failures else batch
+            grid = space.grid_columns()
+            kernel = None
+            if grid is not None:
+                # Every axis value passed the rules, so every design does.
+                batch = eval_batch = mark_rows_valid(
+                    space.to_batch(check=False)
                 )
+                kernel = GridKernel(space.base, grid)
+                if on_error != "fail":
+                    valid_indices = np.arange(n)
+            else:
+                batch = eval_batch = space.to_batch(check=(on_error == "fail"))
+                if on_error != "fail":
+                    valid_indices, point_failures = quarantine_rows(
+                        batch, space
+                    )
+                    # quarantine_rows just vetted every kept row; mark
+                    # them valid rather than re-running the rules inside
+                    # take().
+                    eval_batch = mark_rows_valid(
+                        batch.take(valid_indices, check=False)
+                        if point_failures else batch
+                    )
             m = len(eval_batch)
             bounds = _chunk_bounds(m, chunk_size)
             columns = tuple(np.empty(m) for _ in _RESULT_COLUMNS)
@@ -347,7 +371,10 @@ def explore(
                     "explore",
                 ) as span:
                     chunk_started = time.perf_counter()
-                    _predict_into(eval_batch[lo:hi], mode, views)
+                    if kernel is None:
+                        _predict_into(eval_batch[lo:hi], mode, views)
+                    else:
+                        kernel.predict_into(lo, hi, mode, views)
                     elapsed = time.perf_counter() - chunk_started
                     span.set_attribute("elapsed_s", elapsed)
                 chunk_seconds.observe(elapsed)

@@ -6,7 +6,9 @@ row per candidate design, stored column-major so each axis column is
 contiguous.  Three constructors cover the common sampling
 plans: :meth:`DesignSpace.grid` (full cross product),
 :meth:`DesignSpace.random` (independent uniform draws), and
-:meth:`DesignSpace.explicit` (a hand-picked point list).
+:meth:`DesignSpace.explicit` (a hand-picked point list).  A grid also
+keeps its per-axis value vectors, so :meth:`DesignSpace.grid_columns`
+can hand the batch engine its axes instead of its rows.
 
 Every axis is defined twice, consistently:
 
@@ -25,12 +27,12 @@ keeping the scalar and batch paths numerically identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..core.batch import BatchInput
+from ..core.batch import _COLUMNS, _ROW_RULES, BatchInput
 from ..core.params import RATInput
 from ..errors import ParameterError
 from ..units import MHZ
@@ -105,6 +107,17 @@ _AXES: dict[str, AxisSpec] = {
 }
 
 
+#: Each axis's place in worksheet column order: that of the earliest
+#: field it writes.
+_COLUMN_ORDER = {
+    name: min(_COLUMNS.index(target) for target in spec.targets)
+    for name, spec in _AXES.items()
+}
+
+#: Batch column -> its vectorized valid-value mask (one rule per column).
+_COLUMN_RULES = {name: ok for name, ok, _ in _ROW_RULES}
+
+
 def axis_names() -> list[str]:
     """The supported axis names, sorted (CLI help and error messages)."""
     return sorted(_AXES)
@@ -127,13 +140,19 @@ class DesignSpace:
     value of axis ``axes[j]`` for each design point.  It is stored
     column-major (converted once on construction if given otherwise),
     so :meth:`to_batch` hands each axis column to the batch engine as a
-    contiguous view.  Construct through :meth:`grid`, :meth:`random`,
-    or :meth:`explicit`.
+    contiguous view, and read-only.  Construct through :meth:`grid`,
+    :meth:`random`, or :meth:`explicit`.
+
+    ``grid_axes`` holds a :meth:`grid`'s value vector per axis,
+    read-only like ``values``; it is ``None`` for every other space.
     """
 
     base: RATInput
     axes: tuple[str, ...]
     values: np.ndarray
+    grid_axes: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         for name in self.axes:
@@ -152,7 +171,10 @@ class DesignSpace:
             )
         if matrix.shape[0] < 1:
             raise ParameterError("a design space needs at least one point")
-        object.__setattr__(self, "values", np.asfortranarray(matrix))
+        # A view, so freezing it leaves the caller's array writable.
+        matrix = np.asfortranarray(matrix).view()
+        matrix.flags.writeable = False
+        object.__setattr__(self, "values", matrix)
 
     # ---- constructors ------------------------------------------------------
 
@@ -163,6 +185,11 @@ class DesignSpace:
         ``DesignSpace.grid(rat, clock_mhz=[75, 100, 150], alpha=[.2, .4])``
         yields 6 points.  Axis order follows keyword order; the last axis
         varies fastest.
+
+        The space keeps each axis's value vector as ``grid_axes``, so
+        :func:`~repro.explore.explore` can validate each axis value once
+        and fold Equations (1)-(4) onto the axes (see
+        :meth:`grid_columns`) instead of evaluating them per row.
         """
         if not axes:
             raise ParameterError("grid requires at least one axis")
@@ -181,7 +208,11 @@ class DesignSpace:
         mesh = np.meshgrid(*columns, indexing="ij", sparse=True)
         for j, axis in enumerate(mesh):
             matrix[:, j].reshape(shape)[...] = axis
-        return cls(base=base, axes=names, values=matrix)
+        space = cls(base=base, axes=names, values=matrix)
+        for column in columns:
+            column.flags.writeable = False
+        object.__setattr__(space, "grid_axes", tuple(columns))
+        return space
 
     @classmethod
     def random(
@@ -241,10 +272,19 @@ class DesignSpace:
         }
 
     def design(self, i: int) -> RATInput:
-        """Scalar worksheet for design ``i`` via the ``with_*`` edits."""
+        """Scalar worksheet for design ``i`` via the ``with_*`` edits.
+
+        The edits apply in worksheet column order of the fields they
+        write, so a design with several bad axes raises for the first
+        bad field in that order, as batch validation and quarantine
+        diagnose it.  Axes write disjoint fields, so the order changes
+        no valid design.
+        """
         rat = self.base
-        for j, name in enumerate(self.axes):
-            rat = _axis(name).edit(rat, float(self.values[i, j]))
+        for j in sorted(
+            range(len(self.axes)), key=lambda j: _COLUMN_ORDER[self.axes[j]]
+        ):
+            rat = _axis(self.axes[j]).edit(rat, float(self.values[i, j]))
         return rat
 
     def designs(self) -> Iterator[RATInput]:
@@ -265,6 +305,33 @@ class DesignSpace:
         for j, name in enumerate(self.axes):
             overrides.update(_axis(name).columns(self.values[:, j]))
         return BatchInput.from_base(self.base, len(self), overrides, check=check)
+
+    def grid_columns(self) -> dict[str, np.ndarray] | None:
+        """A clean grid's batch columns, shaped to its axes, or ``None``.
+
+        Each axis's column expansion is applied to its value vector
+        and shaped to broadcast over the grid (the axis's length on its
+        own dimension, 1 elsewhere), ready for
+        :class:`~repro.core.batch.GridKernel`.  Each axis value is
+        checked once against the rule of every column it writes: as the
+        base worksheet is an already-validated ``RATInput``, every
+        design of the grid passes the row rules iff every axis value
+        does.  ``None`` for a space that is not a grid, or a grid with
+        any bad axis value; such spaces take the row path, which names
+        the first bad row.
+        """
+        if self.grid_axes is None:
+            return None
+        shape = [1] * len(self.axes)
+        columns: dict[str, np.ndarray] = {}
+        for j, (name, vector) in enumerate(zip(self.axes, self.grid_axes)):
+            shape[j] = len(vector)
+            for target, column in _axis(name).columns(vector).items():
+                if not _COLUMN_RULES[target](column).all():
+                    return None
+                columns[target] = column.reshape(shape)
+            shape[j] = 1
+        return columns
 
     def describe(self) -> str:
         """e.g. ``"3 axes x 1000 points over clock_mhz, alpha, ..."``."""

@@ -87,7 +87,14 @@ from .batcher import (
     scalar_diagnostic,
     worksheet_row,
 )
-from .protocol import ProtocolError, Request, Response, error_body, json_response
+from .protocol import (
+    MAX_BODY_BYTES,
+    ProtocolError,
+    Request,
+    Response,
+    error_body,
+    json_response,
+)
 
 __all__ = ["RATApp"]
 
@@ -135,7 +142,7 @@ class RATApp:
         *,
         max_batch_size: int = 64,
         max_pending: int = 1024,
-        max_body_bytes: int = 1 << 20,
+        max_body_bytes: int = MAX_BODY_BYTES,
         max_batch_rows: int = 4096,
         max_explore_points: int = 200_000,
         default_deadline_s: float | None = None,

@@ -51,6 +51,8 @@ import socket
 import sys
 from dataclasses import asdict, dataclass
 
+from .protocol import MAX_BODY_BYTES
+
 __all__ = [
     "ShardConfig",
     "create_listen_socket",
@@ -112,7 +114,7 @@ class ShardConfig:
     # RATApp / RATServer knobs, mirroring the single-process `serve()`.
     max_batch_size: int = 64
     max_pending: int = 1024
-    max_body_bytes: int = 1 << 20
+    max_body_bytes: int = MAX_BODY_BYTES
     max_batch_rows: int = 4096
     max_explore_points: int = 200_000
     default_deadline_s: float | None = None

@@ -21,6 +21,7 @@ from typing import Mapping
 from ..errors import ServeError
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "MAX_HEAD_BYTES",
     "ProtocolError",
     "Request",
@@ -34,6 +35,12 @@ __all__ = [
 #: Upper bound on the request line + headers block; a head that exceeds
 #: this is rejected with 431 before any body is read.
 MAX_HEAD_BYTES = 32768
+
+#: Default request-body limit (``max_body_bytes``); a longer body gets
+#: 413 before it is read.  2 MiB holds a ``/v1/batch`` at its default
+#: 4,096-row limit of the registered case studies' worksheets
+#: (262-297 bytes each, 1.07-1.22 MB in all).
+MAX_BODY_BYTES = 2 << 20
 
 #: Reason phrases for the status codes the service emits.
 _REASONS = {

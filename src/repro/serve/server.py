@@ -26,6 +26,7 @@ from ..obs import get_metrics
 from ..obs.log import configure_logging, event, get_logger
 from .app import RATApp
 from .protocol import (
+    MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
     ProtocolError,
     Request,
@@ -232,7 +233,7 @@ async def serve(
     port: int = 8321,
     max_batch_size: int = 64,
     max_pending: int = 1024,
-    max_body_bytes: int = 1 << 20,
+    max_body_bytes: int = MAX_BODY_BYTES,
     max_batch_rows: int = 4096,
     max_explore_points: int = 200_000,
     default_deadline_s: float | None = None,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.throughput import predict
 from repro.errors import ParameterError
-from repro.explore import DesignSpace, axis_names
+from repro.explore import DesignSpace, axis_names, explore
 from repro.units import MHZ
 
 
@@ -32,6 +32,37 @@ class TestGrid:
     def test_overlapping_axes_rejected(self, simple_rat):
         with pytest.raises(ParameterError, match="overlapping"):
             DesignSpace.grid(simple_rat, alpha=[0.5], alpha_write=[0.5])
+
+    def test_keeps_read_only_axis_vectors(self, simple_rat):
+        space = DesignSpace.grid(
+            simple_rat, clock_mhz=[100, 200], alpha=[0.25, 0.5, 0.75]
+        )
+        assert [v.tolist() for v in space.grid_axes] == [
+            [100.0, 200.0], [0.25, 0.5, 0.75],
+        ]
+        for array in (space.values, *space.grid_axes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        # Other spaces have no axis vectors, and freezing a space's
+        # values leaves the caller's array writable.
+        values = np.asfortranarray([[100.0], [200.0]])
+        explicit = DesignSpace(simple_rat, ("clock_mhz",), values)
+        assert explicit.grid_axes is None
+        assert explicit.grid_columns() is None
+        assert values.flags.writeable
+
+    def test_grid_columns_shaped_to_axes(self, simple_rat):
+        space = DesignSpace.grid(
+            simple_rat, clock_mhz=[100, 200], alpha=[0.25, 0.5, 0.75]
+        )
+        columns = space.grid_columns()
+        assert sorted(columns) == ["alpha_read", "alpha_write", "clock_hz"]
+        assert columns["clock_hz"].shape == (2, 1)
+        assert columns["clock_hz"].ravel().tolist() == [100 * MHZ, 200 * MHZ]
+        assert columns["alpha_write"].shape == (1, 3)
+        bad = DesignSpace.grid(simple_rat, clock_mhz=[100, 0], alpha=[0.5])
+        assert bad.grid_columns() is None
 
 
 class TestRandom:
@@ -97,6 +128,22 @@ class TestDesignEdits:
     def test_elements_in_axis_truncates(self, simple_rat):
         design = DesignSpace.grid(simple_rat, elements_in=[2048.7]).design(0)
         assert design.dataset.elements_in == 2048
+
+    def test_two_bad_axes_diagnosed_in_column_order(self, pdf1d_rat):
+        # Point 1 is clock 0 and alpha 1.5: design(i), quarantine and
+        # explore(on_error="fail") all name alpha_write, which comes
+        # before clock_hz in worksheet column order.
+        space = DesignSpace.grid(
+            pdf1d_rat, clock_mhz=[0, 100], alpha=[0.5, 1.5]
+        )
+        with pytest.raises(ParameterError) as design:
+            space.design(1)
+        assert str(design.value) == "alpha_write must be in (0, 1], got 1.5"
+        failures = explore(space, on_error="quarantine").failures
+        assert (failures[1].index, failures[1].reason) == (1, str(design.value))
+        with pytest.raises(ParameterError) as failed:
+            explore(DesignSpace.explicit(pdf1d_rat, [space.point(1)]))
+        assert str(failed.value) == f"{design.value} at row 0"
 
     def test_axis_names_sorted(self):
         names = axis_names()

@@ -2,10 +2,15 @@
 
 import asyncio
 import json
+import os
 
 from repro.serve import RATApp, RATServer
 
 from .test_batcher import WORKSHEET
+
+_REPO = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
 
 
 async def _start_server(**app_kwargs):
@@ -153,6 +158,32 @@ class TestFraming:
         [(status, _, raw)] = asyncio.run(body())
         assert status == 413
         assert b"exceeds" in raw
+
+    def test_default_limits_admit_a_full_batch(self):
+        # 4,096 pdf1d worksheets (the default max_batch_rows) are a body
+        # over 1 MiB; the default body limit must let them through.
+        with open(os.path.join(_REPO, "examples", "worksheets", "pdf1d.json"),
+                  encoding="utf-8") as handle:
+            worksheet = json.load(handle)
+        payload = {"worksheets": [worksheet] * 4096}
+
+        async def body():
+            server = RATServer(RATApp(), host="127.0.0.1", port=0)
+            await server.start()
+            try:
+                return await _roundtrip(
+                    server.port, _request_bytes("POST", "/v1/batch", payload)
+                )
+            finally:
+                await server.shutdown()
+
+        assert len(json.dumps(payload)) > 1 << 20
+        [(status, _, raw)] = asyncio.run(body())
+        assert status == 200, raw[:200]
+        response = json.loads(raw)
+        assert response["evaluated"] == 4096
+        assert len(response["results"]) == 4096
+        assert all(result["ok"] for result in response["results"])
 
     def test_connection_close_honoured(self):
         async def body():
