@@ -67,16 +67,18 @@ class SimulationError(RATError, RuntimeError):
 class ExplorationError(RATError, RuntimeError):
     """A design-space exploration run could not complete cleanly.
 
-    Raised by the fault-tolerant executor when chunks fail beyond their
-    retry budget under ``on_error="fail"``, or when a checkpoint cannot
-    be resumed.  Carries the structured failure records and whatever
-    partial results were computed so callers can salvage a long run:
+    Raised by ``map_designs`` when a chunk's evaluator raises under
+    ``on_error="fail"`` or a pool worker dies (under every policy), and
+    when a checkpoint cannot be resumed.  Carries the structured failure
+    records and whatever partial results were computed so callers can
+    salvage a long run:
 
     ``chunk_failures``
-        Chunk-level diagnostics (``ChunkFailure`` instances) for crashes,
-        timeouts, and exhausted retries.
+        Chunk-level diagnostics (``ChunkFailure`` instances) for chunks
+        whose evaluator raised.
     ``partial``
-        The partial result object (executor-specific), or ``None``.
+        The partial result (for ``map_designs``, a ``MapResult`` of the
+        chunks completed so far), or ``None``.
     """
 
     def __init__(
@@ -93,8 +95,9 @@ class ExplorationError(RATError, RuntimeError):
     def __reduce__(self):
         # Exceptions pickle as ``cls(*args)`` plus ``__dict__`` state by
         # default, which silently drops keyword-only payloads on classes
-        # that evolve their constructor.  These errors cross process
-        # boundaries in pool mode, so reconstruct explicitly.
+        # that evolve their constructor.  These errors can cross process
+        # boundaries (a run inside a pool worker), so reconstruct
+        # explicitly.
         return (
             _rebuild_exploration_error,
             (

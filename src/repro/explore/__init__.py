@@ -4,7 +4,7 @@ RAT's value to a designer is what-if exploration — sweeps, crossover
 bisection, Monte Carlo uncertainty bands, goal-seeking — and all of them
 reduce to evaluating the worksheet equations over many candidate
 designs.  This subsystem makes that evaluation fast, structured, and
-fault-tolerant:
+resumable:
 
 ``space``
     :class:`DesignSpace`: named parameter axes over a base worksheet
@@ -16,11 +16,10 @@ fault-tolerant:
     non-vectorizable evaluators (hardware simulation, goal-seek),
     serial or process-parallel.
 ``runtime``
-    The fault-tolerance layer: row-level quarantine with
-    :class:`PointFailure` diagnostics, and for :func:`map_designs`
-    :class:`RetryPolicy` retry/backoff/timeout knobs, chunk-level
-    crash/hang recovery with :class:`ChunkFailure` records, and pool
-    respawn / serial degradation.
+    Failure handling: row-level quarantine with :class:`PointFailure`
+    diagnostics, and :func:`run_chunks`, the dispatcher behind
+    :func:`map_designs`, which records a chunk whose evaluator raised as
+    a :class:`ChunkFailure`.
 ``checkpoint``
     :class:`ChunkJournal`: JSONL chunk journal keyed by a content hash
     of the run, so an interrupted exploration resumes from completed
@@ -40,10 +39,8 @@ from .executor import (
 )
 from .runtime import (
     ChunkFailure,
-    ChunkRunReport,
     ON_ERROR_POLICIES,
     PointFailure,
-    RetryPolicy,
     quarantine_rows,
     run_chunks,
 )
@@ -53,14 +50,12 @@ __all__ = [
     "AxisSpec",
     "ChunkFailure",
     "ChunkJournal",
-    "ChunkRunReport",
     "DEFAULT_CHUNK_SIZE",
     "DesignSpace",
     "ExplorationResult",
     "MapResult",
     "ON_ERROR_POLICIES",
     "PointFailure",
-    "RetryPolicy",
     "axis_names",
     "explore",
     "map_designs",

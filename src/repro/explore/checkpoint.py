@@ -2,9 +2,12 @@
 
 A checkpointed :func:`~repro.explore.executor.explore` (or
 ``map_designs``) run appends one JSONL record per *completed chunk* to a
-journal file.  If the process is killed — Ctrl-C, OOM, a crashed worker
-taking the parent down — re-running with ``resume=True`` replays the
-completed chunks from the journal and only evaluates the rest.  Because
+journal file.  If the run dies — Ctrl-C, the OOM killer, or a
+``map_designs`` pool worker crashing, which raises
+:class:`~repro.errors.ExplorationError` — re-running with
+``resume=True`` replays the completed chunks from the journal and only
+evaluates the rest.  This is the recovery path for a dead worker: the
+dispatcher does not retry or respawn.  Because
 Python's ``repr``-based JSON float serialization round-trips IEEE-754
 doubles exactly, a killed-then-resumed run produces *bitwise-identical*
 predictions to an uninterrupted one (pinned by

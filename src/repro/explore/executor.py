@@ -1,4 +1,4 @@
-"""Chunked, fault-tolerant execution of design-space explorations.
+"""Chunked execution of design-space explorations.
 
 :func:`explore` is the throughput-prediction fast path: it converts a
 :class:`~repro.explore.space.DesignSpace` to one struct-of-arrays batch,
@@ -15,13 +15,13 @@ has no process pool").
 :func:`map_designs` is the escape hatch for evaluators the batch engine
 cannot vectorize — event-driven hardware simulation, goal-seek solvers,
 resource estimation — fanning an arbitrary picklable callable over every
-design, serially or across a process pool, through
+design, in-process or across one process pool, through
 :func:`~repro.explore.runtime.run_chunks`.
 
-Fault tolerance (see :mod:`repro.explore.runtime` for the machinery):
+Failure handling (see :mod:`repro.explore.runtime`):
 
 * ``on_error="fail"`` (default) preserves the historical behaviour — the
-  first invalid design (:func:`explore`) or exhausted chunk
+  first invalid design (:func:`explore`) or failed chunk
   (:func:`map_designs`) raises.  In :func:`explore`, ``"quarantine"``
   validates every row up front, evaluates the valid ones, NaN-fills the
   rest, and reports structured :class:`PointFailure` diagnostics on the
@@ -29,11 +29,11 @@ Fault tolerance (see :mod:`repro.explore.runtime` for the machinery):
   ``ExplorationResult.indices`` mapping surviving rows back to their
   design-space indices.  :func:`map_designs` fails whole chunks
   (:class:`ChunkFailure`) and keeps them as ``None`` or drops them.
-* :func:`map_designs` alone takes ``retry`` (a :class:`RetryPolicy`):
-  per-chunk retries with exponential backoff, per-chunk timeouts on the
-  pool path, and ``BrokenProcessPool`` recovery with graceful
-  degradation to serial.  :func:`explore`'s kernel cannot raise on the
-  rows validation let through, so an exception from it propagates.
+  :func:`explore`'s kernel cannot raise on the rows validation let
+  through, so an exception from it propagates.
+* A :func:`map_designs` pool worker that dies raises
+  :class:`~repro.errors.ExplorationError` under every policy, with the
+  chunks completed so far in its ``partial``.
 * ``checkpoint=PATH`` journals each completed chunk to a JSONL file;
   ``resume=True`` replays completed chunks from a previous interrupted
   run (bitwise-identical results — see
@@ -42,22 +42,20 @@ Fault tolerance (see :mod:`repro.explore.runtime` for the machinery):
 Observability: each call runs under an ``explore.run`` (or
 ``explore.map_designs``) span, and every chunk records an
 ``explore.chunk`` span.  A chunk evaluated in the calling process
-(every :func:`explore` chunk; a :func:`map_designs` chunk run serially
-or after degradation) has a span that encloses its work.  A
-:func:`map_designs` chunk evaluated in a pool worker returns its elapsed
-time and the parent re-emits a synthetic span carrying it
-(``synthetic: True``), so pool runs are not blind.
-``explore.points`` counts evaluated designs, ``explore.chunk_seconds``
-aggregates per-chunk latency, ``explore.retries`` /
+(every :func:`explore` chunk; a :func:`map_designs` chunk run without a
+pool) has a span that encloses its work.  A :func:`map_designs` chunk
+evaluated in a pool worker returns its elapsed time and the parent
+re-emits a synthetic span carrying it (``synthetic: True``), so pool
+runs are not blind.  ``explore.points`` counts evaluated designs,
+``explore.chunk_seconds`` aggregates per-chunk latency,
 ``explore.failed_points`` / ``explore.failed_chunks`` /
-``explore.resumed_chunks`` track fault handling, and the
+``explore.resumed_chunks`` track failure handling, and the
 ``explore.predictions_per_sec`` gauge tracks realised throughput.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
@@ -81,7 +79,6 @@ from .checkpoint import ChunkJournal, run_key
 from .runtime import (
     ChunkFailure,
     PointFailure,
-    RetryPolicy,
     check_on_error,
     quarantine_rows,
     run_chunks,
@@ -169,7 +166,9 @@ class MapResult:
 
     ``results[i]`` is the evaluator's value for design ``indices[i]``;
     with ``on_error="quarantine"`` failed designs are present as
-    ``None``, with ``"skip"`` they are dropped.
+    ``None``, with ``"skip"`` they are dropped.  As the ``partial`` of
+    an :class:`~repro.errors.ExplorationError` it holds the chunks that
+    completed.
     """
 
     results: list[Any]
@@ -177,8 +176,6 @@ class MapResult:
     elapsed_s: float
     chunk_failures: tuple[ChunkFailure, ...] = ()
     resumed_chunks: int = 0
-    retries: int = 0
-    degraded: bool = False
 
 
 def _chunk_bounds(n: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -194,33 +191,37 @@ def _effective_workers(workers: int) -> int:
     return workers
 
 
-#: The ``(space, evaluator, in_process)`` of the map_designs run whose
-#: chunks this thread evaluates.  A pool worker gets it once from
-#: :func:`_map_worker_init`, so the (potentially large) design space
-#: pickles into each worker at pool start instead of into every task,
-#: and runs its tasks on the thread that ran the initializer.  An
-#: in-process run sets it for the calling thread only and restores the
-#: previous value when it returns, so concurrent runs in other threads
-#: keep their own and a finished run's space is released.
-_map_state = threading.local()
+#: The ``(space, evaluator)`` of the map_designs run this pool worker
+#: serves, set once per worker by :func:`_map_worker_init`, so the
+#: (potentially large) design space pickles into each worker at pool
+#: start instead of into every task.  The calling process never sets it:
+#: an in-process run passes both to :func:`_map_chunk`.
+_worker_run: tuple[DesignSpace, Callable] | None = None
 
 
 def _map_worker_init(space: DesignSpace, evaluator: Callable) -> None:
-    _map_state.run = (space, evaluator, False)
+    global _worker_run
+    _worker_run = (space, evaluator)
 
 
-def _map_chunk(task: tuple[int, int, int]) -> tuple[float, list[Any], bool]:
-    """map_designs chunk ``index``: evaluate designs ``lo..hi`` of this run.
+def _map_chunk(
+    task: tuple[int, int, int],
+    space: DesignSpace | None = None,
+    evaluator: Callable | None = None,
+) -> tuple[float, list[Any], bool]:
+    """map_designs chunk ``index``: evaluate designs ``lo..hi`` of its run.
 
-    Returns ``(elapsed_s, results, spanned)``.  In the calling process
-    the ``explore.chunk`` span encloses the evaluator work (a failed
-    attempt's span carries the error); a pool worker's spans cannot
-    reach the parent's tracer, so it returns ``spanned=False`` and the
-    parent re-emits a synthetic span.
+    Returns ``(elapsed_s, results, spanned)``.  In the calling process,
+    which passes ``space`` and ``evaluator``, the ``explore.chunk`` span
+    encloses the evaluator work (a failed chunk's span carries the
+    error).  A pool worker reads them from its initializer's state; its
+    spans cannot reach the parent's tracer, so it returns
+    ``spanned=False`` and the parent re-emits a synthetic span.
     """
-    run = getattr(_map_state, "run", None)
-    assert run is not None, "worker initializer did not run"
-    space, evaluator, in_process = run
+    in_process = space is not None
+    if not in_process:
+        assert _worker_run is not None, "worker initializer did not run"
+        space, evaluator = _worker_run
     index, lo, hi = task
     span = (
         get_tracer().span(
@@ -235,22 +236,6 @@ def _map_chunk(task: tuple[int, int, int]) -> tuple[float, list[Any], bool]:
         elapsed = time.perf_counter() - started
         span.set_attribute("elapsed_s", elapsed)
     return elapsed, results, in_process
-
-
-def _emit_chunk_failure_span(failure: ChunkFailure) -> None:
-    """Failure-annotated span for a chunk that exhausted its retries."""
-    with get_tracer().span(
-        "explore.chunk",
-        {
-            "chunk": failure.index,
-            "size": max(failure.hi - failure.lo, 0),
-            "error": failure.reason,
-            "error_type": failure.error_type,
-            "attempts": failure.attempts,
-        },
-        "explore",
-    ):
-        pass
 
 
 def _open_journal(
@@ -441,7 +426,6 @@ def map_designs(
     workers: int = 1,
     chunk_size: int = 16,
     on_error: str = "fail",
-    retry: RetryPolicy | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
     detail: bool = False,
@@ -452,19 +436,22 @@ def map_designs(
     simulation, goal-seek, resource estimation — ``evaluator`` receives
     each scalar :class:`RATInput` and its results are returned in design
     order.  With ``workers > 1`` (or ``workers=0`` for one per CPU core)
-    the evaluator must be picklable (a module-level function), as must
-    its results; ``chunk_size`` is the pool's task granularity.
+    the chunks run on a process pool, and the evaluator must be
+    picklable (a module-level function), as must its results;
+    ``chunk_size`` is the pool's task granularity.
 
-    Fault tolerance: ``on_error``, ``retry`` (retries, backoff, and
-    per-chunk timeouts on the pool path), and ``checkpoint``/``resume``
-    (checkpoint payloads must be JSON-serializable).  Failures are
-    chunk-granular here — with ``"quarantine"`` the failed designs'
-    entries are ``None``, with ``"skip"`` they are dropped.
-    ``detail=True`` returns a :class:`MapResult` carrying the failure
-    records and the surviving design indices instead of the bare list.
+    Failures are chunk-granular: under ``on_error="fail"`` an evaluator
+    exception raises :class:`~repro.errors.ExplorationError`; with
+    ``"quarantine"`` the failed chunk's entries are ``None``, with
+    ``"skip"`` they are dropped.  A pool worker that dies raises
+    ``ExplorationError`` under every policy, its ``partial`` a
+    :class:`MapResult` of the chunks completed so far; with
+    ``checkpoint`` (JSON-serializable results), ``resume=True`` then
+    evaluates only the rest.  ``detail=True`` returns a
+    :class:`MapResult` carrying the failure records and the surviving
+    design indices instead of the bare list.
     """
     check_on_error(on_error)
-    policy = retry or RetryPolicy()
     pool_workers = _effective_workers(workers)
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -522,62 +509,60 @@ def map_designs(
                 for failure in failures:
                     index = todo[failure.index]
                     lo, hi = bounds[index]
-                    failure = replace(failure, index=index, lo=lo, hi=hi)
-                    _emit_chunk_failure_span(failure)
-                    remapped.append(failure)
+                    remapped.append(
+                        replace(failure, index=index, lo=lo, hi=hi)
+                    )
+                    with tracer.span("explore.chunk", {
+                        "chunk": index, "size": hi - lo,
+                        "error": failure.reason,
+                        "error_type": failure.error_type,
+                    }, "explore"):
+                        pass
                 return tuple(remapped)
 
-            # The serial path and pool degradation run _map_chunk in
-            # this thread, so it needs the run's state too.
-            previous = getattr(_map_state, "run", None)
-            _map_state.run = (space, evaluator, True)
+            def outcome(
+                chunk_failures: tuple[ChunkFailure, ...], fill: bool
+            ) -> MapResult:
+                """Chunks in design order; ``fill`` keeps failed ones."""
+                results: list[Any] = []
+                indices: list[int] = []
+                for i, (lo, hi) in enumerate(bounds):
+                    if i in slots or fill:
+                        results.extend(
+                            slots[i] if i in slots else [None] * (hi - lo)
+                        )
+                        indices.extend(range(lo, hi))
+                return MapResult(
+                    results=results,
+                    indices=np.asarray(indices, dtype=np.intp),
+                    elapsed_s=time.perf_counter() - started,
+                    chunk_failures=chunk_failures,
+                    resumed_chunks=resumed,
+                )
+
             try:
-                report = run_chunks(
+                _, failures = run_chunks(
                     [(i, *bounds[i]) for i in todo], _map_chunk,
-                    workers=pool_workers, policy=policy, on_error=on_error,
+                    workers=pool_workers, on_error=on_error,
                     on_result=on_result,
                     initializer=_map_worker_init, initargs=(space, evaluator),
                 )
             except ExplorationError as exc:
+                chunk_failures = remap(exc.chunk_failures)
                 raise ExplorationError(
-                    str(exc), chunk_failures=remap(exc.chunk_failures),
-                    partial=exc.partial,
+                    str(exc), chunk_failures=chunk_failures,
+                    partial=outcome(chunk_failures, fill=False),
                 ) from exc
-            finally:
-                _map_state.run = previous
-            chunk_failures = remap(report.failures)
-            failed = {failure.index for failure in chunk_failures}
-            results: list[Any] = []
-            indices: list[int] = []
-            for i, (lo, hi) in enumerate(bounds):
-                if i in slots:
-                    results.extend(slots[i])
-                    indices.extend(range(lo, hi))
-                elif on_error == "quarantine":
-                    results.extend([None] * (hi - lo))
-                    indices.extend(range(lo, hi))
-                else:
-                    assert i in failed
-            if chunk_failures:
+            result = outcome(remap(failures), on_error == "quarantine")
+            if result.chunk_failures:
                 metrics.counter("explore.failed_points").inc(
-                    sum(f.hi - f.lo for f in chunk_failures)
+                    sum(f.hi - f.lo for f in result.chunk_failures)
                 )
     finally:
         if journal is not None:
             journal.close()
-    elapsed = time.perf_counter() - started
     metrics.counter("explore.points").inc(n)
     metrics.gauge("explore.predictions_per_sec").set(
-        n / max(elapsed, _MIN_ELAPSED_S)
+        n / max(result.elapsed_s, _MIN_ELAPSED_S)
     )
-    if detail:
-        return MapResult(
-            results=results,
-            indices=np.asarray(indices, dtype=np.intp),
-            elapsed_s=elapsed,
-            chunk_failures=chunk_failures,
-            resumed_chunks=resumed,
-            retries=report.retries,
-            degraded=report.degraded,
-        )
-    return results
+    return result if detail else result.results

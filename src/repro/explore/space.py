@@ -100,7 +100,11 @@ _AXES: dict[str, AxisSpec] = {
     ),
     "elements_in": AxisSpec(
         "elements_in",
-        lambda r, v: r.with_block_size(int(v), r.software.n_iterations),
+        # int() of NaN/inf raises before validation; pass such a value
+        # through so the worksheet rejects it with ParameterError.
+        lambda r, v: r.with_block_size(
+            int(v) if math.isfinite(v) else v, r.software.n_iterations
+        ),
         lambda v: {"elements_in": np.trunc(v)},
         ("elements_in",),
     ),

@@ -51,7 +51,12 @@ import socket
 import sys
 from dataclasses import asdict, dataclass
 
+from ..obs import get_metrics
+from ..obs.log import event, get_logger
+from ..obs.promexport import snapshot_metrics
+from .app import RATApp
 from .protocol import MAX_BODY_BYTES
+from .server import RATServer
 
 __all__ = [
     "ShardConfig",
@@ -130,15 +135,6 @@ class ShardConfig:
 
 async def run_shard(config: ShardConfig) -> None:
     """Run one shard until drained (the child-process main coroutine)."""
-    # Imported here so the module header stays importable for the
-    # config dataclass without dragging numpy in (the supervisor only
-    # needs ShardConfig / create_listen_socket).
-    from ..obs import get_metrics
-    from ..obs.log import event, get_logger
-    from ..obs.promexport import snapshot_metrics
-    from .app import RATApp
-    from .server import RATServer
-
     log = get_logger("serve.shard")
     app = RATApp(
         max_batch_size=config.max_batch_size,

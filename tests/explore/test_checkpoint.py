@@ -1,6 +1,9 @@
 """Checkpoint journal tests: run keys, journal format, resume semantics."""
 
 import json
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -14,6 +17,10 @@ from repro.explore.checkpoint import JOURNAL_VERSION
 from tests.conftest import assert_matches_scalar
 
 from . import faults
+
+_REPO = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
 
 
 def _space(base, n=30):
@@ -293,4 +300,60 @@ class TestMapDesignsResume:
             map_designs(
                 space, faults.raise_on_slow_clock_eval, chunk_size=3,
                 checkpoint=journal, resume=True,
+            )
+
+
+@pytest.mark.faults
+class TestKilledRunResume:
+    def test_killed_checkpointed_run_resumes_bitwise_identical(
+        self, tmp_path, pdf1d_rat
+    ):
+        """Actually kill an exploring process mid-run, then resume.
+
+        The child process journals chunks serially until the marker
+        chunk ``os._exit``s the whole interpreter — the checkpoint's
+        torn-state story, not a simulation of it.
+        """
+        journal = tmp_path / "killed.jsonl"
+        script = f"""
+import os
+import sys
+sys.path.insert(0, {os.path.join(_REPO, "src")!r})
+import numpy as np
+import repro.explore.executor as executor
+from repro.apps.registry import get_case_study
+from repro.explore import explore, DesignSpace
+kernel = executor._predict_into
+def kill_on_marker(batch, mode, out):
+    if (batch.clock_hz == 333.5e6).any():
+        os._exit(1)
+    kernel(batch, mode, out)
+executor._predict_into = kill_on_marker
+base = get_case_study("pdf1d").rat
+clocks = np.linspace(50.0, 300.0, 50)
+clocks[32] = 333.5  # the kill marker: dies in chunk 6 of 10
+space = DesignSpace(base=base, axes=("clock_mhz",),
+                    values=clocks.reshape(-1, 1))
+explore(space, chunk_size=5, checkpoint={str(journal)!r})
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        clocks = np.linspace(50.0, 300.0, 50)
+        clocks[32] = 333.5
+        space = DesignSpace(
+            base=pdf1d_rat, axes=("clock_mhz",),
+            values=clocks.reshape(-1, 1),
+        )
+        resumed = explore(
+            space, chunk_size=5, checkpoint=journal, resume=True
+        )
+        assert resumed.resumed_chunks == 6  # chunks 0-5 survived the kill
+        clean = explore(space, chunk_size=5)
+        for name in ("t_rc", "speedup", "t_comm", "t_comp"):
+            assert (
+                getattr(resumed.prediction, name).tobytes()
+                == getattr(clean.prediction, name).tobytes()
             )

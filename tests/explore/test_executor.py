@@ -17,7 +17,6 @@ from repro.errors import ExplorationError, ParameterError
 from repro.explore import (
     DesignSpace,
     MapResult,
-    RetryPolicy,
     explore,
     executor,
     map_designs,
@@ -318,9 +317,7 @@ class TestMapDesignsFaults:
         space = self._space_with_bad_clocks(pdf1d_rat)
         result = map_designs(
             space, faults.raise_on_slow_clock_eval,
-            chunk_size=2, on_error="quarantine",
-            retry=RetryPolicy(max_retries=0, backoff_s=0.0),
-            detail=True,
+            chunk_size=2, on_error="quarantine", detail=True,
         )
         assert isinstance(result, MapResult)
         # Chunk granularity: each failing design takes its chunk down.
@@ -334,9 +331,7 @@ class TestMapDesignsFaults:
         space = self._space_with_bad_clocks(pdf1d_rat)
         result = map_designs(
             space, faults.raise_on_slow_clock_eval,
-            chunk_size=2, on_error="skip",
-            retry=RetryPolicy(max_retries=0, backoff_s=0.0),
-            detail=True,
+            chunk_size=2, on_error="skip", detail=True,
         )
         assert result.indices.tolist() == [4, 5]
         assert len(result.results) == 2
@@ -346,8 +341,7 @@ class TestMapDesignsFaults:
         with pytest.raises(ExplorationError, match="ValueError"):
             map_designs(
                 space, faults.raise_on_slow_clock_eval, chunk_size=2,
-                retry=RetryPolicy(max_retries=0, backoff_s=0.0),
-            )
+                )
 
 
 class TestPlanReuse:

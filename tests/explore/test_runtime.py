@@ -1,4 +1,4 @@
-"""Unit tests for the fault-tolerant chunk engine (repro.explore.runtime)."""
+"""Unit tests for the exploration runtime (repro.explore.runtime)."""
 
 import numpy as np
 import pytest
@@ -7,45 +7,14 @@ from repro.core.batch import BatchInput
 from repro.errors import ExplorationError, ParameterError, RATError
 from repro.explore import (
     ChunkFailure,
-    ChunkRunReport,
     DesignSpace,
     PointFailure,
-    RetryPolicy,
     quarantine_rows,
     run_chunks,
 )
 from repro.explore.runtime import check_on_error
 
 from . import faults
-
-
-class TestRetryPolicy:
-    def test_defaults(self):
-        policy = RetryPolicy()
-        assert policy.max_retries == 2
-        assert policy.backoff_s == pytest.approx(0.05)
-        assert policy.backoff_factor == pytest.approx(2.0)
-        assert policy.timeout_s is None
-
-    def test_delay_grows_exponentially(self):
-        policy = RetryPolicy(backoff_s=0.1, backoff_factor=3.0)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.3)
-        assert policy.delay(3) == pytest.approx(0.9)
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"max_retries": -1}, "max_retries"),
-            ({"backoff_s": -0.1}, "backoff_s"),
-            ({"backoff_factor": 0.5}, "backoff_factor"),
-            ({"timeout_s": 0.0}, "timeout_s"),
-            ({"timeout_s": -2.0}, "timeout_s"),
-        ],
-    )
-    def test_validation(self, kwargs, match):
-        with pytest.raises(ParameterError, match=match):
-            RetryPolicy(**kwargs)
 
 
 class TestOnErrorPolicy:
@@ -81,11 +50,10 @@ class TestFailureRecords:
 
     def test_chunk_failure_describe(self):
         failure = ChunkFailure(
-            index=2, reason="boom", error_type="RuntimeError",
-            attempts=3, lo=20, hi=30,
+            index=2, reason="boom", error_type="RuntimeError", lo=20, hi=30,
         )
         assert failure.describe() == (
-            "chunk 2 rows [20, 30): RuntimeError after 3 attempt(s): boom"
+            "chunk 2 rows [20, 30): RuntimeError: boom"
         )
 
     def test_exploration_error_is_a_rat_error(self):
@@ -121,16 +89,10 @@ class TestQuarantineRows:
 
 class TestRunChunksSerial:
     def test_all_succeed(self):
-        report = run_chunks([1, 2, 3], faults.double)
-        assert report.results == [2, 4, 6]
-        assert report.failures == []
-        assert report.retries == 0
-        assert not report.degraded
+        assert run_chunks([1, 2, 3], faults.double) == ([2, 4, 6], [])
 
     def test_empty_tasks(self):
-        report = run_chunks([], faults.double)
-        assert report.results == []
-        assert report.failures == []
+        assert run_chunks([], faults.double) == ([], [])
 
     def test_on_result_fires_in_order(self):
         seen = []
@@ -140,23 +102,16 @@ class TestRunChunksSerial:
         )
         assert seen == [(0, 2), (1, 4), (2, 6)]
 
-    def test_transient_failure_retried_with_backoff(self):
-        calls = {"n": 0}
-
-        def flaky(task):
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                raise RuntimeError("transient")
-            return task * 10
-
-        delays = []
-        policy = RetryPolicy(max_retries=3, backoff_s=0.5, backoff_factor=2.0)
-        report = run_chunks(
-            [7], flaky, policy=policy, sleep=delays.append
+    def test_initargs_follow_each_task_in_process(self):
+        # In-process there is no initializer: the state it would seed
+        # goes to every call instead.
+        initialized = []
+        results, _ = run_chunks(
+            [1, 2], lambda task, k: task * k,
+            initializer=initialized.append, initargs=(10,),
         )
-        assert report.results == [70]
-        assert report.retries == 2
-        assert delays == pytest.approx([0.5, 1.0])
+        assert results == [10, 20]
+        assert initialized == []
 
     def test_exhausted_fail_raises_with_partial(self):
         def fn(task):
@@ -164,28 +119,25 @@ class TestRunChunksSerial:
                 raise ValueError("injected")
             return task
 
-        policy = RetryPolicy(max_retries=1, backoff_s=0.0)
         with pytest.raises(ExplorationError) as excinfo:
-            run_chunks([1, -1, 2], fn, policy=policy, sleep=lambda s: None)
+            run_chunks([1, -1, 2], fn)
         error = excinfo.value
         assert len(error.chunk_failures) == 1
         failure = error.chunk_failures[0]
         assert failure.index == 1
         assert failure.error_type == "ValueError"
-        assert failure.attempts == 2
-        # The partial report keeps what completed before the abort.
-        assert error.partial.results[0] == 1
+        assert failure.reason == "injected"
+        # The partial results keep what completed before the abort.
+        assert error.partial == [1, None, None]
+        assert isinstance(error.__cause__, ValueError)
 
     @pytest.mark.parametrize("on_error", ["skip", "quarantine"])
     def test_exhausted_nonfail_continues(self, on_error):
-        policy = RetryPolicy(max_retries=0, backoff_s=0.0)
-        report = run_chunks(
-            [1, -1, 2], faults.raise_on_negative,
-            policy=policy, on_error=on_error, sleep=lambda s: None,
+        results, failures = run_chunks(
+            [1, -1, 2], faults.raise_on_negative, on_error=on_error,
         )
-        assert report.results == [2, None, 4]
-        assert report.failed_indices == {1}
-        assert report.failures[0].attempts == 1
+        assert results == [2, None, 4]
+        assert [f.index for f in failures] == [1]
 
     def test_invalid_on_error(self):
         with pytest.raises(ParameterError, match="on_error"):
@@ -195,36 +147,34 @@ class TestRunChunksSerial:
 class TestRunChunksPool:
     def test_matches_serial(self):
         tasks = list(range(10))
-        pooled = run_chunks(tasks, faults.double, workers=2)
-        assert pooled.results == [2 * t for t in tasks]
-        assert pooled.failures == []
+        assert run_chunks(tasks, faults.double, workers=2) == (
+            [2 * t for t in tasks], [],
+        )
 
     def test_worker_exception_quarantined(self):
-        policy = RetryPolicy(max_retries=0, backoff_s=0.0)
-        report = run_chunks(
+        results, failures = run_chunks(
             [1, -1, 2, 3], faults.raise_on_negative,
-            workers=2, policy=policy, on_error="quarantine",
+            workers=2, on_error="quarantine",
         )
-        assert report.results == [2, None, 4, 6]
-        failure = report.failures[0]
+        assert results == [2, None, 4, 6]
+        failure = failures[0]
         assert failure.index == 1
         assert failure.error_type == "ValueError"
         assert "injected task failure" in failure.reason
 
     def test_worker_exception_fail_raises(self):
-        policy = RetryPolicy(max_retries=0, backoff_s=0.0)
         with pytest.raises(ExplorationError, match="ValueError"):
             run_chunks(
                 [1, -1, 2], faults.raise_on_negative,
-                workers=2, policy=policy, on_error="fail",
+                workers=2, on_error="fail",
             )
 
     def test_single_task_runs_serial(self):
         # One task never pays pool start-up, even with workers > 1.
         seen = []
-        report = run_chunks(
+        results, _ = run_chunks(
             [4], faults.double, workers=8,
             on_result=lambda i, r: seen.append(i),
         )
-        assert report.results == [8]
+        assert results == [8]
         assert seen == [0]

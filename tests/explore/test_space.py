@@ -145,6 +145,26 @@ class TestDesignEdits:
             explore(DesignSpace.explicit(pdf1d_rat, [space.point(1)]))
         assert str(failed.value) == f"{design.value} at row 0"
 
+    @pytest.mark.parametrize(
+        "value, text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")]
+    )
+    def test_non_finite_elements_in_raises_parameter_error(
+        self, pdf1d_rat, value, text
+    ):
+        # int() of NaN or inf must not pre-empt validation: design(i)
+        # raises the same ParameterError quarantine reports.
+        space = DesignSpace.grid(pdf1d_rat, elements_in=[value, 512])
+        with pytest.raises(ParameterError) as design:
+            space.design(0)
+        assert str(design.value) == (
+            f"elements_in must be positive and finite, got {text}"
+        )
+        failures = explore(space, on_error="quarantine").failures
+        assert [(f.index, f.reason) for f in failures] == [
+            (0, str(design.value))
+        ]
+        assert space.design(1).dataset.elements_in == 512
+
     def test_axis_names_sorted(self):
         names = axis_names()
         assert names == sorted(names)

@@ -73,9 +73,8 @@ class TestPickleRoundTrips:
             chunk_failures=(
                 ChunkFailure(
                     index=2,
-                    reason="worker crashed",
-                    error_type="BrokenProcessPool",
-                    attempts=3,
+                    reason="evaluator raised",
+                    error_type="ValueError",
                     lo=200,
                     hi=300,
                 ),
