@@ -558,7 +558,7 @@ class BatchInput:
         fields share (the ``alpha`` axis backs both alphas with one
         array) is gathered once, and the taken fields share the copy.
         ``check`` defaults to the batch's own ``checked`` state; the
-        quarantine path passes ``check=False`` and marks the rows
+        ``skip`` policy passes ``check=False`` and marks the rows
         :func:`violation_columns` passed valid with
         :func:`mark_rows_valid`.
         """
@@ -591,8 +591,11 @@ def mark_rows_valid(batch: BatchInput) -> BatchInput:
     selecting the rows it passed — re-running ``_validate`` at predict
     time is pure duplicate work.  This marks the batch checked without
     another rule pass (mutating only the monotone ``checked`` flag) and
-    returns it.  Never call it on a batch whose rows were not actually vetted:
-    invalid rows would then reach the equations as silent inf/NaN.
+    returns it.  Never call it on a batch that still holds a row the
+    rules reject, vetted or not: that row would reach the equations as
+    silent inf/NaN.  A caller that evaluates such a batch anyway
+    (quarantine keeps every row) leaves it unchecked and hands the
+    kernel its failed rows, which come back NaN.
     """
     if not batch.checked:
         object.__setattr__(batch, "checked", True)
@@ -731,16 +734,26 @@ def _record(n: int, speedup: np.ndarray) -> None:
 
 
 def _predict_into(
-    batch: BatchInput, mode: BufferingMode, out: Sequence[np.ndarray]
+    batch: BatchInput,
+    mode: BufferingMode,
+    out: Sequence[np.ndarray],
+    failed: np.ndarray | None = None,
 ) -> None:
     """The Equations (1)-(11) kernel: evaluate ``batch`` into ``out``.
 
     ``out`` holds the eight result columns, in :class:`BatchPrediction`
-    field order, each exactly ``len(batch)`` rows long.  Unchecked
-    batches are validated first: the divisions would turn invalid rows
-    into silent inf/NaN where the scalar path raises, so quarantine
-    callers take the rows :func:`violation_columns` passed (and vouch
-    for them with :func:`mark_rows_valid`) before predicting.
+    field order, each exactly ``len(batch)`` rows long.  Without
+    ``failed``, unchecked batches are validated first: the divisions
+    would turn invalid rows into silent inf/NaN where the scalar path
+    raises.
+
+    ``failed`` is the quarantine path: the ascending indices of the
+    rows :func:`violation_columns` rejected, the caller vouching that
+    every other row passes.  Every row is evaluated, under
+    ``np.errstate(all="ignore")`` so the failed rows raise no
+    floating-point warning, and then each result column gets NaN in
+    the failed rows.  The throughput metrics see the other rows only.
+    Only this path pays for the ``errstate``.
 
     Batches longer than :data:`DEFAULT_TILE` rows are walked in tiles,
     so the whole equation chain runs on each tile while it is hot in
@@ -751,7 +764,7 @@ def _predict_into(
     changes any row's bits.
     """
     iteration = _iteration_ufunc(mode)
-    if not batch.checked:
+    if failed is None and not batch.checked:
         batch._validate()
     n = len(batch)
     # An empty batch has no row to read a broadcast value from.
@@ -761,17 +774,36 @@ def _predict_into(
         else getattr(batch, name)
         for name in _COLUMNS
     ]
+    if failed is None:
+        _tiles(inputs, out, iteration, n)
+        _record(n, out[5])
+        return
+    with np.errstate(all="ignore"):
+        _tiles(inputs, out, iteration, n)
+    for column in out:
+        column[failed] = np.nan
+    _record(
+        n - len(failed), np.delete(out[5], failed) if len(failed) else out[5]
+    )
+
+
+def _tiles(
+    inputs: Sequence[np.ndarray | float],
+    out: Sequence[np.ndarray],
+    iteration: np.ufunc,
+    n: int,
+) -> None:
+    """Equations (1)-(11) over ``n`` rows, :data:`DEFAULT_TILE` at a time."""
     if n <= DEFAULT_TILE:
         _equations(inputs, out, iteration)
-    else:
-        for lo in range(0, n, DEFAULT_TILE):
-            t = slice(lo, lo + DEFAULT_TILE)
-            _equations(
-                [v if type(v) is float else v[t] for v in inputs],
-                [column[t] for column in out],
-                iteration,
-            )
-    _record(n, out[5])
+        return
+    for lo in range(0, n, DEFAULT_TILE):
+        t = slice(lo, lo + DEFAULT_TILE)
+        _equations(
+            [v if type(v) is float else v[t] for v in inputs],
+            [column[t] for column in out],
+            iteration,
+        )
 
 
 def _equations(

@@ -61,23 +61,26 @@ def run_key(
     chunk size, and on_error policy.  ``evaluator`` distinguishes
     ``map_designs`` journals (it carries the evaluator's qualified name)
     from batch-predict journals.
+
+    An ``explore()`` quarantine journal's chunks cover every design row,
+    failed rows as NaN; they once covered the valid rows only, so its
+    key hashes one more field and a journal of the old layout is
+    refused.  Every other key is unchanged.
     """
     values = space.values.astype(dtype="<f8", copy=False)
-    payload = json.dumps(
-        {
-            "version": JOURNAL_VERSION,
-            "base": space.base.to_dict(),
-            "axes": list(space.axes),
-            "values_sha": hashlib.sha256(
-                values.tobytes(order="C")
-            ).hexdigest(),
-            "mode": mode.value,
-            "chunk_size": int(chunk_size),
-            "on_error": on_error,
-            "evaluator": evaluator,
-        },
-        sort_keys=True,
-    )
+    fields = {
+        "version": JOURNAL_VERSION,
+        "base": space.base.to_dict(),
+        "axes": list(space.axes),
+        "values_sha": hashlib.sha256(values.tobytes(order="C")).hexdigest(),
+        "mode": mode.value,
+        "chunk_size": int(chunk_size),
+        "on_error": on_error,
+        "evaluator": evaluator,
+    }
+    if on_error == "quarantine" and not evaluator:
+        fields["rows"] = "all"
+    payload = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -23,12 +23,14 @@ Failure handling (see :mod:`repro.explore.runtime`):
 * ``on_error="fail"`` (default) preserves the historical behaviour — the
   first invalid design (:func:`explore`) or failed chunk
   (:func:`map_designs`) raises.  In :func:`explore`, ``"quarantine"``
-  validates every row up front, evaluates the valid ones, NaN-fills the
-  rest, and reports structured :class:`PointFailure` diagnostics on the
-  result; ``"skip"`` drops the failed rows instead, with
-  ``ExplorationResult.indices`` mapping surviving rows back to their
-  design-space indices.  :func:`map_designs` fails whole chunks
-  (:class:`ChunkFailure`) and keeps them as ``None`` or drops them.
+  validates every row up front, evaluates every row in place, writes
+  NaN into the failed ones, and reports structured
+  :class:`PointFailure` diagnostics on the result; ``"skip"`` drops
+  the failed rows instead, evaluating a compacted copy of the valid
+  ones, with ``ExplorationResult.indices`` mapping surviving rows back
+  to their design-space indices.  :func:`map_designs` fails whole
+  chunks (:class:`ChunkFailure`) and keeps them as ``None`` or drops
+  them.
   :func:`explore`'s kernel cannot raise on the rows validation let
   through, so an exception from it propagates.
 * A :func:`map_designs` pool worker that dies raises
@@ -58,6 +60,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -288,6 +291,11 @@ def explore(
     (``"fail"``/``"skip"``/``"quarantine"``, see the module docstring)
     and ``checkpoint``/``resume`` the crash-recovery journal.
 
+    Under ``"quarantine"`` the kernel evaluates every row in the chunks
+    ``"fail"`` uses and writes NaN into each chunk's failed rows before
+    the chunk is recorded or journaled; under ``"skip"`` the chunks
+    cover a compacted copy of the valid rows.
+
     A :meth:`DesignSpace.grid` whose every axis value passes the
     validation rules is evaluated folded, under every policy: the rules
     run once per axis value (:meth:`DesignSpace.grid_columns`), and
@@ -313,30 +321,37 @@ def explore(
         ):
             point_failures: tuple[PointFailure, ...] = ()
             valid_indices: np.ndarray | None = None
+            # Quarantine: the rows the rule pass rejected, in order.
+            failed: np.ndarray | None = None
             grid = space.grid_columns()
             kernel = None
             if grid is not None:
                 # Every axis value passed the rules, so every design does.
-                batch = eval_batch = mark_rows_valid(
-                    space.to_batch(check=False)
-                )
+                batch = mark_rows_valid(space.to_batch(check=False))
                 kernel = GridKernel(space.base, grid)
-                if on_error != "fail":
+                if on_error == "skip":
                     valid_indices = np.arange(n)
             else:
-                batch = eval_batch = space.to_batch(check=(on_error == "fail"))
+                batch = space.to_batch(check=(on_error == "fail"))
                 if on_error != "fail":
                     valid_indices, point_failures = quarantine_rows(
                         batch, space
                     )
-                    # quarantine_rows just vetted every kept row; mark
-                    # them valid rather than re-running the rules inside
-                    # take().
-                    eval_batch = mark_rows_valid(
-                        batch.take(valid_indices, check=False)
-                        if point_failures else batch
-                    )
-            m = len(eval_batch)
+                    # quarantine_rows just vetted every row.  Only a
+                    # batch with no invalid row left is marked valid;
+                    # quarantine hands the kernel its failed rows.
+                    if not point_failures:
+                        mark_rows_valid(batch)
+                    elif on_error == "skip":
+                        batch = mark_rows_valid(
+                            batch.take(valid_indices, check=False)
+                        )
+                    else:
+                        failed = np.fromiter(
+                            map(attrgetter("index"), point_failures),
+                            np.intp, len(point_failures),
+                        )
+            m = len(batch)
             bounds = _chunk_bounds(m, chunk_size)
             columns = tuple(np.empty(m) for _ in _RESULT_COLUMNS)
             journal, done = _open_journal(
@@ -356,10 +371,17 @@ def explore(
                     "explore",
                 ) as span:
                     chunk_started = time.perf_counter()
-                    if kernel is None:
-                        _predict_into(eval_batch[lo:hi], mode, views)
-                    else:
+                    if kernel is not None:
                         kernel.predict_into(lo, hi, mode, views)
+                    elif failed is None:
+                        _predict_into(batch[lo:hi], mode, views)
+                    else:
+                        # The kernel NaNs the chunk's failed rows before
+                        # the chunk is recorded or journaled.
+                        a, b = np.searchsorted(failed, (lo, hi))
+                        _predict_into(
+                            batch[lo:hi], mode, views, failed[a:b] - lo
+                        )
                     elapsed = time.perf_counter() - chunk_started
                     span.set_attribute("elapsed_s", elapsed)
                 chunk_seconds.observe(elapsed)
@@ -368,13 +390,8 @@ def explore(
                         "elapsed": elapsed,
                         "payload": [view.tolist() for view in views],
                     })
-            if on_error == "skip":
-                # Surviving row i is design valid_indices[i] of the space.
-                prediction = BatchPrediction(eval_batch, mode, *columns)
-            else:
-                if point_failures:
-                    columns = _with_nan_rows(columns, valid_indices, n)
-                prediction = BatchPrediction(batch, mode, *columns)
+            # Under skip, row i is design valid_indices[i] of the space.
+            prediction = BatchPrediction(batch, mode, *columns)
             if point_failures:
                 metrics.counter("explore.failed_points").inc(
                     len(point_failures)
@@ -396,27 +413,6 @@ def explore(
         indices=valid_indices if on_error == "skip" else None,
         resumed_chunks=len(done),
     )
-
-
-def _with_nan_rows(
-    columns: Sequence[np.ndarray], valid_indices: np.ndarray, n: int
-) -> list[np.ndarray]:
-    """The evaluated ``columns`` spread over ``n`` rows, NaN where failed.
-
-    Evaluated row ``i`` lands on row ``valid_indices[i]``: each
-    full-length column gets NaN in the failed rows only, and the
-    evaluated rows, in order, through the boolean valid mask.
-    """
-    valid = np.zeros(n, dtype=bool)
-    valid[valid_indices] = True
-    failed = np.flatnonzero(~valid)
-    full = []
-    for column in columns:
-        out = np.empty(n)
-        out[failed] = np.nan
-        out[valid] = column
-        full.append(out)
-    return full
 
 
 def map_designs(

@@ -33,7 +33,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,8 +74,7 @@ def check_on_error(on_error: str) -> str:
     return on_error
 
 
-@dataclass(frozen=True)
-class PointFailure:
+class PointFailure(NamedTuple):
     """One quarantined design point: the row, the axis values, and why.
 
     ``parameter`` names the offending worksheet column and ``reason`` is
@@ -84,6 +83,11 @@ class PointFailure:
     design's axis values when the caller knows them (the exploration
     executor fills it from its design space, as :meth:`DesignSpace.point`
     would).
+
+    An immutable record, built in bulk by :func:`quarantine_rows`: a
+    tuple subclass is several times cheaper to build than a frozen
+    dataclass.  Being a tuple, it compares equal to a plain tuple of
+    the same fields.
     """
 
     index: int
@@ -99,6 +103,11 @@ class PointFailure:
             axes = ", ".join(f"{k}={v:g}" for k, v in self.point.items())
             where = f"{where} ({axes})"
         return f"{where}: {self.reason}"
+
+
+#: ``PointFailure`` from a 5-tuple of its fields, without the keyword
+#: handling of ``PointFailure.__new__``.
+_new_record = partial(tuple.__new__, PointFailure)
 
 
 @dataclass(frozen=True)
@@ -128,13 +137,14 @@ def quarantine_rows(
     """Split a deferred-validation batch into valid rows and diagnoses.
 
     One rule pass returns ``(valid_indices, failures)``: the row indices
-    that pass every scalar validation rule (evaluate these with
-    ``take()``), and one :class:`PointFailure` per rejected row, in row
-    order.  The records are built in one pass over the rule pass's
-    columns; each ``reason`` comes from the scalar validator's own
-    formatter, byte for byte.  ``space``, the design space the batch was
-    staged from, supplies each failure's axis values, gathered for all
-    failed rows at once.
+    that pass every scalar validation rule (``explore(on_error="skip")``
+    evaluates these with ``take()``), and one :class:`PointFailure` per
+    rejected row, in row order.  The records are built in one pass over
+    the rule pass's columns; each ``reason`` comes from the scalar
+    validator's own formatter, byte for byte.  ``space``, the design
+    space the batch was staged from, supplies each failure's axis
+    values, gathered for all failed rows at once, one axis column at a
+    time.
     """
     rows, rules, values = violation_columns(batch)
     n = len(batch)
@@ -151,11 +161,11 @@ def quarantine_rows(
     ]
     points: Iterator[Mapping[str, float] | None] = repeat(None)
     if space is not None:
-        points = map(
-            dict, map(zip, repeat(space.axes), space.values[rows].tolist())
-        )
+        # One list per axis, gathered from its contiguous column.
+        axis_values = [column[rows].tolist() for column in space.values.T]
+        points = map(dict, map(zip, repeat(space.axes), zip(*axis_values)))
     return np.flatnonzero(valid), tuple(map(
-        PointFailure, rows.tolist(), names, bad_values, reasons, points
+        _new_record, zip(rows.tolist(), names, bad_values, reasons, points)
     ))
 
 

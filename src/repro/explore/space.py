@@ -100,15 +100,26 @@ _AXES: dict[str, AxisSpec] = {
     ),
     "elements_in": AxisSpec(
         "elements_in",
-        # int() of NaN/inf raises before validation; pass such a value
-        # through so the worksheet rejects it with ParameterError.
         lambda r, v: r.with_block_size(
-            int(v) if math.isfinite(v) else v, r.software.n_iterations
+            _block_size(v), r.software.n_iterations
         ),
         lambda v: {"elements_in": np.trunc(v)},
         ("elements_in",),
     ),
 }
+
+
+def _block_size(v: float) -> int | float:
+    """The ``elements_in`` an axis value sets: ``int(v)`` if that is valid.
+
+    A value that truncates to a bad size (below 1, NaN or infinite) is
+    passed on as the float the batch column holds, ``np.trunc(v)``, so
+    the worksheet's ``ParameterError`` names the value quarantine and
+    ``explore(on_error="fail")`` report (``got 0.0``, ``got -0.0``,
+    ``got nan``), and ``int()`` of NaN or inf cannot pre-empt it.
+    """
+    size = float(np.trunc(v))
+    return int(size) if 1 <= size < math.inf else size
 
 
 #: Each axis's place in worksheet column order: that of the earliest

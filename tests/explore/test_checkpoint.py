@@ -278,6 +278,137 @@ class TestExploreResume:
         )
 
 
+#: Grids over the 1-D PDF worksheet at 150 MHz.  The mixed one has 5 of
+#: its 9 designs invalid (clock 0 or alpha 1.5).
+_CLEAN_AXES = {"clock_mhz": [75.0, 150.0], "alpha": [0.25, 0.5, 1.0]}
+_MIXED_AXES = {"clock_mhz": [0.0, 75.0, 150.0], "alpha": [0.25, 1.5, 0.5]}
+
+#: run_key at chunk size 2, single buffering, of journals written while
+#: quarantine chunks covered the valid rows only: (axes, policy) -> key.
+#: fail and skip journals keep their keys and still resume; the
+#: quarantine key had to move.  Pinned here so that a change to any key
+#: is deliberate, not a JOURNAL_VERSION bump for every policy.
+_OLD_LAYOUT_KEYS = {
+    ("clean", "fail"):
+        "9a82e3cb621e8c9d3b085bd63a4d1660c41c77ed40908339c154ecb24def71e1",
+    ("mixed", "fail"):
+        "f7f2cb939495602686b340d55e59b71b377464215c49cd03e1513f84bca569da",
+    ("mixed", "skip"):
+        "44f3b5bfa0ab2d5279ef49d5f5fd798cc23c52bdecedfc10db1a97a180d95eb7",
+    ("mixed", "quarantine"):
+        "ba6ae9d7e714715106d25ed4ba9e19fca17e244e310a49268178503aad1711c2",
+}
+#: The mixed grid's map_designs quarantine key, evaluator name "f".
+_OLD_MAP_QUARANTINE_KEY = (
+    "5592a463740d191b69b607d12a58d211ce3c170305f36302c3efc99f5c89e949"
+)
+
+_FIELDS = ("t_input", "t_output", "t_comm", "t_comp", "t_rc", "speedup",
+           "util_comp", "util_comm")
+
+
+def _layout_space(base, which):
+    return DesignSpace.grid(
+        base, **(_CLEAN_AXES if which == "clean" else _MIXED_AXES)
+    )
+
+
+def _assert_same_bits(got, want):
+    for name in _FIELDS:
+        assert (
+            getattr(got.prediction, name).tobytes()
+            == getattr(want.prediction, name).tobytes()
+        ), name
+
+
+class TestJournalLayout:
+    @pytest.mark.parametrize("which, on_error", [
+        ("clean", "fail"), ("mixed", "fail"), ("mixed", "skip"),
+    ])
+    def test_fail_and_skip_keys_unchanged(self, pdf1d_rat, which, on_error):
+        space = _layout_space(pdf1d_rat, which)
+        assert run_key(space, BufferingMode.SINGLE, 2, on_error) == (
+            _OLD_LAYOUT_KEYS[which, on_error]
+        )
+
+    def test_only_the_explore_quarantine_key_moved(self, pdf1d_rat):
+        space = _layout_space(pdf1d_rat, "mixed")
+        key = run_key(space, BufferingMode.SINGLE, 2, "quarantine")
+        assert key not in _OLD_LAYOUT_KEYS.values()
+        # map_designs quarantine chunks kept their layout, and their key.
+        assert run_key(
+            space, BufferingMode.SINGLE, 2, "quarantine", evaluator="f"
+        ) == _OLD_MAP_QUARANTINE_KEY
+
+    @pytest.mark.parametrize("which, on_error", [
+        ("clean", "fail"), ("mixed", "skip"),
+    ])
+    def test_old_key_journals_resume_bitwise(
+        self, tmp_path, pdf1d_rat, which, on_error
+    ):
+        space = _layout_space(pdf1d_rat, which)
+        journal = tmp_path / "run.jsonl"
+        clean = explore(space, chunk_size=2, on_error=on_error)
+        explore(space, chunk_size=2, on_error=on_error, checkpoint=journal)
+        header = json.loads(journal.read_text().splitlines()[0])
+        assert header["key"] == _OLD_LAYOUT_KEYS[which, on_error]
+        _truncate_journal(journal, keep_chunks=1)
+        resumed = explore(
+            space, chunk_size=2, on_error=on_error, checkpoint=journal,
+            resume=True,
+        )
+        assert resumed.resumed_chunks == 1
+        _assert_same_bits(resumed, clean)
+
+    def test_old_layout_quarantine_journal_refused(self, tmp_path, pdf1d_rat):
+        # The old layout's quarantine chunks were the valid rows only,
+        # exactly the chunks a skip run journals.  Replayed into the
+        # in-place layout they would land on the wrong rows.
+        space = _layout_space(pdf1d_rat, "mixed")
+        journal = tmp_path / "old.jsonl"
+        explore(space, chunk_size=2, on_error="skip", checkpoint=journal)
+        lines = journal.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["key"] = _OLD_LAYOUT_KEYS["mixed", "quarantine"]
+        journal.write_text(
+            json.dumps(header, sort_keys=True) + "\n" + "".join(lines[1:])
+        )
+        with pytest.raises(ExplorationError, match="different run"):
+            explore(
+                space, chunk_size=2, on_error="quarantine",
+                checkpoint=journal, resume=True,
+            )
+
+    def test_quarantine_journal_holds_every_row_nan_where_failed(
+        self, tmp_path, pdf1d_rat
+    ):
+        space = _layout_space(pdf1d_rat, "mixed")
+        journal = tmp_path / "run.jsonl"
+        clean = explore(space, chunk_size=2, on_error="quarantine")
+        explore(
+            space, chunk_size=2, on_error="quarantine", checkpoint=journal
+        )
+        chunks = [
+            json.loads(line)["payload"]["payload"]
+            for line in journal.read_text().splitlines()[1:]
+        ]
+        assert len(chunks) == 5  # ceil(9 / 2): every design row
+        failed = [f.index for f in clean.failures]
+        assert failed == [0, 1, 2, 4, 7]
+        for column, name in enumerate(_FIELDS):
+            rows = [value for chunk in chunks for value in chunk[column]]
+            assert len(rows) == len(space)
+            nan = [i for i, value in enumerate(rows) if value != value]
+            assert nan == failed, name
+        resumed = explore(
+            space, chunk_size=2, on_error="quarantine", checkpoint=journal,
+            resume=True,
+        )
+        assert resumed.resumed_chunks == 5
+        _assert_same_bits(resumed, clean)
+        assert resumed.failures == clean.failures
+
+
 class TestMapDesignsResume:
     def test_resume_replays_chunks(self, tmp_path, pdf1d_rat):
         space = _space(pdf1d_rat, 12)

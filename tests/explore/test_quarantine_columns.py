@@ -246,6 +246,8 @@ class TestFailureRecords:
             )
             for i, clock in ((0, 0.0), (2, -5.0), (4, float("inf")))
         )
+        # Records equal plain tuples too: check the type on its own.
+        assert all(type(failure) is PointFailure for failure in failures)
 
     def test_empty_when_nothing_failed(self, pdf1d_rat):
         space = DesignSpace.grid(pdf1d_rat, clock_mhz=[100.0, 150.0])

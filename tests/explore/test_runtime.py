@@ -1,5 +1,7 @@
 """Unit tests for the exploration runtime (repro.explore.runtime)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,46 @@ class TestFailureRecords:
             index=1, parameter="t_soft", value=-1.0, reason="bad"
         )
         assert failure.describe() == "point 1: bad"
+
+    def test_point_failure_keyword_construction_and_repr(self):
+        failure = PointFailure(
+            index=1, parameter="t_soft", value=-1.0, reason="bad"
+        )
+        assert failure.point is None
+        assert repr(failure) == (
+            "PointFailure(index=1, parameter='t_soft', value=-1.0, "
+            "reason='bad', point=None)"
+        )
+        located = PointFailure(3, "clock_hz", 0.0, "r", {"clock_mhz": 0.0})
+        assert repr(located) == (
+            "PointFailure(index=3, parameter='clock_hz', value=0.0, "
+            "reason='r', point={'clock_mhz': 0.0})"
+        )
+
+    def test_point_failure_equality(self):
+        failure = PointFailure(3, "clock_hz", 0.0, "r", {"clock_mhz": 0.0})
+        assert failure == PointFailure(
+            index=3, parameter="clock_hz", value=0.0, reason="r",
+            point={"clock_mhz": 0.0},
+        )
+        assert failure != failure._replace(index=4)
+        assert failure != failure._replace(point=None)
+        # A record is a tuple of its fields, and compares equal to one.
+        assert failure == (3, "clock_hz", 0.0, "r", {"clock_mhz": 0.0})
+
+    def test_point_failure_pickles(self):
+        failure = PointFailure(3, "clock_hz", 0.0, "r", {"clock_mhz": 0.0})
+        copy = pickle.loads(pickle.dumps(failure))
+        assert type(copy) is PointFailure
+        assert copy == failure and copy.describe() == failure.describe()
+
+    def test_point_failure_is_immutable(self):
+        failure = PointFailure(1, "t_soft", -1.0, "bad")
+        with pytest.raises(AttributeError):
+            failure.index = 2
+        with pytest.raises(AttributeError):
+            failure.extra = 1
+        assert failure.index == 1
 
     def test_chunk_failure_describe(self):
         failure = ChunkFailure(

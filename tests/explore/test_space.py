@@ -126,8 +126,10 @@ class TestDesignEdits:
         assert design.communication.alpha_read == 0.6
 
     def test_elements_in_axis_truncates(self, simple_rat):
-        design = DesignSpace.grid(simple_rat, elements_in=[2048.7]).design(0)
-        assert design.dataset.elements_in == 2048
+        space = DesignSpace.grid(simple_rat, elements_in=[2048.7, 1.5, 1e300])
+        sizes = [space.design(i).dataset.elements_in for i in range(3)]
+        assert sizes == [2048, 1, int(1e300)]
+        assert all(type(size) is int for size in sizes)
 
     def test_two_bad_axes_diagnosed_in_column_order(self, pdf1d_rat):
         # Point 1 is clock 0 and alpha 1.5: design(i), quarantine and
@@ -164,6 +166,29 @@ class TestDesignEdits:
             (0, str(design.value))
         ]
         assert space.design(1).dataset.elements_in == 512
+
+    @pytest.mark.parametrize("value, text", [
+        (0.5, "0.0"), (0.0, "0.0"), (-0.0, "-0.0"), (-0.5, "-0.0"),
+        (-2.5, "-2.0"), (-3.0, "-3.0"), (-1e300, "-1e+300"),
+    ])
+    def test_bad_finite_elements_in_diagnosed_alike(
+        self, pdf1d_rat, value, text
+    ):
+        # design(i), quarantine and explore(on_error="fail") all name the
+        # truncated size the batch column holds, sign of zero included.
+        space = DesignSpace.grid(pdf1d_rat, elements_in=[value, 512])
+        with pytest.raises(ParameterError) as design:
+            space.design(0)
+        assert str(design.value) == (
+            f"elements_in must be positive and finite, got {text}"
+        )
+        failures = explore(space, on_error="quarantine").failures
+        assert [(f.index, f.reason) for f in failures] == [
+            (0, str(design.value))
+        ]
+        with pytest.raises(ParameterError) as failed:
+            explore(space)
+        assert str(failed.value) == f"{design.value} at row 0"
 
     def test_axis_names_sorted(self):
         names = axis_names()
