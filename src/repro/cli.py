@@ -643,6 +643,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _parse_axis_spec(text: str) -> tuple[str, list[float]]:
     """Parse one ``--axis NAME=v1,v2,...`` / ``NAME=lo:hi:count`` flag."""
     from .errors import ParameterError
+    from .explore import axis_range
 
     name, separator, spec = text.partition("=")
     name, spec = name.strip(), spec.strip()
@@ -657,13 +658,9 @@ def _parse_axis_spec(text: str) -> tuple[str, list[float]]:
             raise ParameterError(
                 f"malformed axis range {spec!r}; expected lo:hi:count"
             )
-        low, high, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ParameterError(f"axis {name!r} count must be >= 1")
-        if count == 1:
-            return name, [low]
-        step = (high - low) / (count - 1)
-        return name, [low + step * i for i in range(count)]
+        return name, axis_range(
+            name, float(parts[0]), float(parts[1]), int(parts[2])
+        )
     return name, [float(part) for part in spec.split(",") if part.strip()]
 
 
@@ -685,16 +682,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint or None,
         resume=args.resume,
     )
-    records = result.as_records()
-    # Quarantined rows carry NaN predictions; keep them out of the
-    # ranking (NaN compares false to everything, which would scramble
-    # the sort) and report them as failures below instead.
-    order = sorted(
-        (i for i in range(len(records)) if records[i]["speedup"] == records[i]["speedup"]),
-        key=lambda i: -records[i]["speedup"],
-    )
-    if args.top > 0:
-        order = order[: args.top]
+    ranked = result.ranked(args.top)
     failure_lines = [failure.describe() for failure in result.failures]
     if args.format == "json":
         print(json.dumps(
@@ -708,7 +696,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 "failed_points": result.n_failed,
                 "failures": failure_lines,
                 "resumed_chunks": result.resumed_chunks,
-                "predictions": [records[i] for i in order],
+                "predictions": ranked,
             },
             indent=2,
             sort_keys=True,
@@ -717,8 +705,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     axis_headers = list(space.axes)
     headers = axis_headers + ["speedup", "t_rc", "util_comm", "bound"]
     rows = []
-    for i in order:
-        record = records[i]
+    for record in ranked:
         bound = "comp" if record["t_comp"] >= record["t_comm"] else "comm"
         rows.append(
             [f"{record[name]:g}" for name in axis_headers]
@@ -787,6 +774,14 @@ def _cmd_platforms(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    # RATApp options, the same for one process and for every shard.
+    app_options = dict(
+        max_batch_size=args.max_batch,
+        max_pending=args.max_pending,
+        default_deadline_s=(
+            args.deadline_ms * 1e-3 if args.deadline_ms > 0 else None
+        ),
+    )
     if args.shards > 0:
         from .serve.supervisor import RestartPolicy, run_cluster
 
@@ -812,11 +807,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scale_up_depth=args.scale_up_depth,
             scale_down_depth=args.scale_down_depth,
             scale_cooldown_s=args.scale_cooldown,
-            max_batch_size=args.max_batch,
-            max_pending=args.max_pending,
-            default_deadline_s=(
-                args.deadline_ms * 1e-3 if args.deadline_ms > 0 else None
-            ),
+            **app_options,
         )
 
     from .serve import serve
@@ -824,13 +815,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     asyncio.run(serve(
         host=args.host,
         port=args.port,
-        max_batch_size=args.max_batch,
-        max_pending=args.max_pending,
-        default_deadline_s=(
-            args.deadline_ms * 1e-3 if args.deadline_ms > 0 else None
-        ),
         drain_timeout_s=args.drain_timeout,
         access_log=args.access_log,
+        **app_options,
     ))
     return 0
 

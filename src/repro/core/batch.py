@@ -141,6 +141,12 @@ def _as_column(name: str, values: object, n: int) -> np.ndarray:
     return array
 
 
+def _count(value: float) -> int | float:
+    """A count column's value for a worksheet (see :meth:`BatchInput.row`)."""
+    value = float(value)
+    return int(value) if value >= 1 and value.is_integer() else value
+
+
 def _base_values(base: RATInput) -> dict[str, float]:
     """The base worksheet's value of every column, SI, as Python floats."""
     return {
@@ -494,12 +500,17 @@ class BatchInput:
     # ---- conversion --------------------------------------------------------
 
     def row(self, i: int) -> RATInput:
-        """Rehydrate row ``i`` as a scalar :class:`RATInput`."""
+        """Rehydrate row ``i`` as a scalar :class:`RATInput`.
+
+        A count (``elements_in``, ``elements_out``, ``n_iterations``) is
+        an ``int`` if it is a whole number of at least 1, else the float
+        the kernel read, so the worksheet predicts the row's numbers.
+        """
         return RATInput(
             name=self.names[i] if self.names else "",
             dataset=DatasetParams(
-                elements_in=int(self.elements_in[i]),
-                elements_out=int(self.elements_out[i]),
+                elements_in=_count(self.elements_in[i]),
+                elements_out=_count(self.elements_out[i]),
                 bytes_per_element=float(self.bytes_per_element[i]),
             ),
             communication=CommunicationParams(
@@ -514,7 +525,7 @@ class BatchInput:
             ),
             software=SoftwareParams(
                 t_soft=float(self.t_soft[i]),
-                n_iterations=int(self.n_iterations[i]),
+                n_iterations=_count(self.n_iterations[i]),
             ),
         )
 

@@ -44,7 +44,7 @@ from .runtime import (
     quarantine_rows,
     run_chunks,
 )
-from .space import AxisSpec, DesignSpace, axis_names
+from .space import AxisSpec, DesignSpace, axis_names, axis_range
 
 __all__ = [
     "AxisSpec",
@@ -57,6 +57,7 @@ __all__ = [
     "ON_ERROR_POLICIES",
     "PointFailure",
     "axis_names",
+    "axis_range",
     "explore",
     "map_designs",
     "quarantine_rows",

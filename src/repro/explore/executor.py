@@ -60,7 +60,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -161,6 +160,14 @@ class ExplorationResult:
         for i, record in enumerate(records):
             record.update(self.space.point(self.design_index(i)))
         return records
+
+    def ranked(self, top: int = 0) -> list[dict[str, float]]:
+        """:meth:`as_records` by speedup, best first, cut to ``top`` if
+        ``top > 0``.  Quarantined (NaN) rows are left out, since NaN
+        compares false to everything; ``failures`` reports them."""
+        records = [r for r in self.as_records() if r["speedup"] == r["speedup"]]
+        records.sort(key=lambda r: -r["speedup"])
+        return records[:top] if top > 0 else records
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +341,9 @@ def explore(
             else:
                 batch = space.to_batch(check=(on_error == "fail"))
                 if on_error != "fail":
-                    valid_indices, point_failures = quarantine_rows(
-                        batch, space
-                    )
+                    rows, point_failures = quarantine_rows(batch, space)
+                    if on_error == "skip":
+                        valid_indices = np.delete(np.arange(n), rows)
                     # quarantine_rows just vetted every row.  Only a
                     # batch with no invalid row left is marked valid;
                     # quarantine hands the kernel its failed rows.
@@ -347,10 +354,7 @@ def explore(
                             batch.take(valid_indices, check=False)
                         )
                     else:
-                        failed = np.fromiter(
-                            map(attrgetter("index"), point_failures),
-                            np.intp, len(point_failures),
-                        )
+                        failed = rows
             m = len(batch)
             bounds = _chunk_bounds(m, chunk_size)
             columns = tuple(np.empty(m) for _ in _RESULT_COLUMNS)

@@ -37,7 +37,7 @@ from ..core.params import RATInput
 from ..errors import ParameterError
 from ..units import MHZ
 
-__all__ = ["AxisSpec", "DesignSpace", "axis_names"]
+__all__ = ["AxisSpec", "DesignSpace", "axis_names", "axis_range"]
 
 #: Scalar what-if edit: (base worksheet, axis value) -> edited worksheet.
 Edit = Callable[[RATInput, float], RATInput]
@@ -136,6 +136,20 @@ _COLUMN_RULES = {name: ok for name, ok, _ in _ROW_RULES}
 def axis_names() -> list[str]:
     """The supported axis names, sorted (CLI help and error messages)."""
     return sorted(_AXES)
+
+
+def axis_range(name: str, low: float, high: float, count: int) -> list[float]:
+    """``count`` evenly spaced values of axis ``name``, ``low`` to ``high``.
+
+    The range form of an axis, shared by ``rat explore --axis
+    NAME=lo:hi:count`` and ``/v1/explore``'s ``{"lo", "hi", "count"}``.
+    """
+    if count < 1:
+        raise ParameterError(f"axis {name!r} count must be >= 1")
+    if count == 1:
+        return [low]
+    step = (high - low) / (count - 1)
+    return [low + step * i for i in range(count)]
 
 
 def _axis(name: str) -> AxisSpec:

@@ -26,12 +26,11 @@ This subsystem serves that traffic shape on the stdlib only:
 ``supervisor`` / ``cluster``
     :class:`Supervisor` / :func:`run_cluster` — the self-healing
     multi-process cluster mode (``rat serve --shards N``): N shard
-    processes share the port via ``SO_REUSEPORT`` (or an inherited
-    parent-bound fd), each heartbeating to a parent supervisor that
-    restarts crashes with backoff, benches crash-loopers behind a
-    circuit breaker, SIGKILLs hung shards, rolls restarts on SIGHUP
-    without dropping below the readiness floor, and drains the whole
-    cluster on SIGTERM/SIGINT.
+    processes share the port via ``SO_REUSEPORT``, each heartbeating
+    to a parent supervisor that restarts crashes with backoff, benches
+    crash-loopers behind a circuit breaker, SIGKILLs hung shards, rolls
+    restarts on SIGHUP without dropping below the readiness floor, and
+    drains the whole cluster on SIGTERM/SIGINT.
 
 The ``rat serve`` CLI subcommand wraps :func:`serve` (or
 :func:`run_cluster` with ``--shards``);
@@ -56,7 +55,7 @@ from .protocol import (
     json_response,
     parse_head,
 )
-from .cluster import ShardConfig, create_listen_socket, reuse_port_supported
+from .cluster import ShardConfig, create_listen_socket
 from .server import RATServer, serve
 from .supervisor import RestartPolicy, Supervisor, run_cluster
 
@@ -77,7 +76,6 @@ __all__ = [
     "json_response",
     "parse_head",
     "resolve_modes",
-    "reuse_port_supported",
     "run_cluster",
     "scalar_diagnostic",
     "serve",

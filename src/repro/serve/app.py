@@ -37,8 +37,7 @@ Endpoints:
     can shed load on status code alone, without JSON parsing.
 ``GET /metrics``
     The process-global :mod:`repro.obs` metrics registry in Prometheus
-    text exposition format (``?format=text`` serves the legacy
-    human-readable table).  In cluster mode every sample carries a
+    text exposition format.  In cluster mode every sample carries a
     ``shard`` label.
 
 Failure mapping is uniform: :class:`AdmissionError` -> 429 with a
@@ -71,7 +70,7 @@ from ..errors import (
     RATError,
     ServeError,
 )
-from ..obs import get_metrics, get_tracer, metrics_summary, render_prometheus
+from ..obs import get_metrics, get_tracer, render_prometheus
 from ..obs.log import event, get_logger
 from ..obs.propagation import (
     activate,
@@ -367,17 +366,6 @@ class RATApp:
     def _metrics(self, request: Request) -> Response:
         if request.method != "GET":
             raise ProtocolError("/metrics requires GET", 405)
-        params = dict(
-            part.partition("=")[::2]
-            for part in request.query.split("&")
-            if part
-        )
-        if params.get("format") == "text":
-            # The pre-Prometheus human-readable table, kept reachable.
-            return Response(
-                body=metrics_summary(get_metrics()).encode("utf-8"),
-                content_type="text/plain; charset=utf-8",
-            )
         labels = (
             {"shard": str(self.shard_id)}
             if self.shard_id is not None
@@ -508,18 +496,6 @@ class RATApp:
         result = await asyncio.to_thread(
             explore, space, mode, on_error=on_error
         )
-        records = result.as_records()
-        order = sorted(
-            (
-                i for i in range(len(records))
-                # NaN-filled quarantined rows sort unpredictably; report
-                # them through ``failures`` instead.
-                if records[i]["speedup"] == records[i]["speedup"]
-            ),
-            key=lambda i: -records[i]["speedup"],
-        )
-        if top > 0:
-            order = order[:top]
         return json_response({
             "name": base.name,
             "mode": mode.value,
@@ -529,7 +505,7 @@ class RATApp:
             "points_per_sec": result.points_per_sec,
             "failed_points": result.n_failed,
             "failures": [f.describe() for f in result.failures],
-            "predictions": [records[i] for i in order],
+            "predictions": result.ranked(top),
         })
 
     # ---- helpers -----------------------------------------------------------
@@ -572,6 +548,8 @@ def _buffering_mode(value: str) -> BufferingMode:
 
 def _axis_values(name: str, spec: object) -> list[float]:
     """Decode one axis: an explicit list or a lo/hi/count range object."""
+    from ..explore import axis_range
+
     if isinstance(spec, list):
         if not spec:
             raise ParameterError(f"axis {name!r} must not be empty")
@@ -594,12 +572,7 @@ def _axis_values(name: str, spec: object) -> list[float]:
             raise ParameterError(
                 f"axis {name!r} has a non-numeric bound"
             ) from exc
-        if count < 1:
-            raise ParameterError(f"axis {name!r} count must be >= 1")
-        if count == 1:
-            return [low]
-        step = (high - low) / (count - 1)
-        return [low + step * i for i in range(count)]
+        return axis_range(name, low, high, count)
     raise ParameterError(
         f"axis {name!r} must be a value list or a lo/hi/count object"
     )

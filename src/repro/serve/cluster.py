@@ -3,19 +3,11 @@
 One *shard* is a child process running the complete single-process
 service — its own :class:`~repro.serve.app.RATApp`, micro-batcher and
 compiled :class:`~repro.core.plan.PredictionPlan` — sharing the
-cluster's TCP port.  Two sharing strategies:
-
-``SO_REUSEPORT`` (preferred)
-    Every shard binds its own listening socket with ``SO_REUSEPORT``;
-    the kernel load-balances new connections across live listeners, and
-    a dead shard's listener silently drops out of the group.  The
-    supervisor holds a bound (non-listening) placeholder socket so
-    ``--port 0`` resolves to one concrete port before shards bind.
-
-Parent-bound fd (fallback)
-    On platforms without ``SO_REUSEPORT`` the supervisor binds and
-    listens once, and every shard accepts from the inherited fd
-    (classic pre-fork).
+cluster's TCP port with ``SO_REUSEPORT``: every shard binds its own
+listening socket, the kernel load-balances new connections across live
+listeners, and a dead shard's listener silently drops out of the group.
+The supervisor holds a bound (non-listening) placeholder socket so
+``--port 0`` resolves to one concrete port before shards bind.
 
 The supervisor <-> shard contract rides two inherited pipes:
 
@@ -29,10 +21,12 @@ The supervisor <-> shard contract rides two inherited pipes:
   EOF on this pipe means the supervisor died — the shard drains itself
   rather than serve as an orphan.
 
-Shards are launched as ``python -m repro.serve.cluster '<config json>'``
-with the pipe fds (and optionally the shared listen fd) kept open via
-``pass_fds`` — a fresh interpreter per shard, no fork-with-threads
-hazards, and a real ``SIGKILL``-able process for the chaos harness.
+Shards are launched as ``python -c`` calling :func:`main` with the
+config JSON as the one argument (``-m repro.serve.cluster`` would run
+this module a second time, since the package imports it), with the
+pipe fds kept open via ``pass_fds`` — a fresh interpreter per shard,
+no fork-with-threads hazards, and a real ``SIGKILL``-able process for
+the chaos harness.
 
 ``chaos`` directives (``exit-on-start``, ``exit-after:<s>``,
 ``no-heartbeat``) let the fault-injection suite make a *real* shard
@@ -49,27 +43,20 @@ import os
 import signal
 import socket
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from ..obs import get_metrics
 from ..obs.log import event, get_logger
 from ..obs.promexport import snapshot_metrics
 from .app import RATApp
-from .protocol import MAX_BODY_BYTES
 from .server import RATServer
 
 __all__ = [
     "ShardConfig",
     "create_listen_socket",
-    "reuse_port_supported",
     "run_shard",
     "main",
 ]
-
-
-def reuse_port_supported() -> bool:
-    """Whether this platform can share a port via ``SO_REUSEPORT``."""
-    return hasattr(socket, "SO_REUSEPORT")
 
 
 def create_listen_socket(
@@ -102,8 +89,8 @@ class ShardConfig:
 
     The fd fields are descriptor *numbers* valid in the child because
     the supervisor lists them in ``Popen(pass_fds=...)`` (which
-    preserves numbering).  ``listen_fd`` is None in ``SO_REUSEPORT``
-    mode — the shard then binds its own socket to ``host:port``.
+    preserves numbering).  ``app`` holds the
+    :class:`~repro.serve.app.RATApp` options, passed through as given.
     """
 
     shard_id: int
@@ -111,19 +98,12 @@ class ShardConfig:
     port: int
     heartbeat_fd: int
     control_fd: int
-    listen_fd: int | None = None
     heartbeat_interval_s: float = 0.25
     cluster_ready: bool = True
     chaos: str = ""
     access_log: str | None = None
-    # RATApp / RATServer knobs, mirroring the single-process `serve()`.
-    max_batch_size: int = 64
-    max_pending: int = 1024
-    max_body_bytes: int = MAX_BODY_BYTES
-    max_batch_rows: int = 4096
-    max_explore_points: int = 200_000
-    default_deadline_s: float | None = None
     drain_timeout_s: float = 10.0
+    app: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), separators=(",", ":"))
@@ -136,29 +116,14 @@ class ShardConfig:
 async def run_shard(config: ShardConfig) -> None:
     """Run one shard until drained (the child-process main coroutine)."""
     log = get_logger("serve.shard")
-    app = RATApp(
-        max_batch_size=config.max_batch_size,
-        max_pending=config.max_pending,
-        max_body_bytes=config.max_body_bytes,
-        max_batch_rows=config.max_batch_rows,
-        max_explore_points=config.max_explore_points,
-        default_deadline_s=config.default_deadline_s,
-        shard_id=config.shard_id,
-    )
+    app = RATApp(**config.app, shard_id=config.shard_id)
     app.cluster_state = {"ready": bool(config.cluster_ready)}
-    if config.listen_fd is not None:
-        sock = socket.socket(fileno=config.listen_fd)
-        sock.setblocking(False)
-    else:
-        sock = create_listen_socket(
-            config.host, config.port, reuse_port=True
-        )
     server = RATServer(
         app,
         host=config.host,
         port=config.port,
         drain_timeout_s=config.drain_timeout_s,
-        sock=sock,
+        sock=create_listen_socket(config.host, config.port, reuse_port=True),
     )
     await server.start()
 
@@ -173,15 +138,17 @@ async def run_shard(config: ShardConfig) -> None:
     for signame in (signal.SIGTERM, signal.SIGINT):
         with contextlib.suppress(NotImplementedError, RuntimeError):
             loop.add_signal_handler(signame, begin_drain)
+    if config.chaos.startswith("exit-after:"):
+        # An abrupt mid-flight crash (no drain, no cleanup): a hard exit
+        # once serving, the way a segfault or OOM kill lands.
+        loop.call_later(float(config.chaos.partition(":")[2]), os._exit, 13)
 
     heartbeat = os.fdopen(config.heartbeat_fd, "w", buffering=1)
 
-    def beat() -> None:
-        if config.chaos == "no-heartbeat":
-            return  # chaos: a live process that looks hung
-        payload = {
+    def write_beat(state: str) -> None:
+        heartbeat.write(json.dumps({
             "shard": config.shard_id,
-            "state": "draining" if app.draining else "ready",
+            "state": state,
             "requests": app.requests,
             "inflight": app.inflight,
             "queue_depth": app.batcher.depth,
@@ -192,9 +159,13 @@ async def run_shard(config: ShardConfig) -> None:
             # /metrics (counters + histograms summed cluster-wide,
             # gauges kept per shard).
             "metrics": snapshot_metrics(get_metrics()),
-        }
+        }, separators=(",", ":")) + "\n")
+
+    def beat() -> None:
+        if config.chaos == "no-heartbeat":
+            return  # chaos: a live process that looks hung
         try:
-            heartbeat.write(json.dumps(payload, separators=(",", ":")) + "\n")
+            write_beat("draining" if app.draining else "ready")
         except OSError:
             begin_drain()  # supervisor is gone; stop serving
 
@@ -259,28 +230,14 @@ async def run_shard(config: ShardConfig) -> None:
             predictions=app.batcher.served,
         )
         with contextlib.suppress(OSError, ValueError):
-            heartbeat.write(
-                json.dumps(
-                    {
-                        "shard": config.shard_id,
-                        "state": "stopped",
-                        "requests": app.requests,
-                        "predictions": app.batcher.served,
-                        "batches": app.batcher.batches,
-                        # Final registry state, so the supervisor folds
-                        # this incarnation's exact totals into the
-                        # cluster aggregate before the process goes.
-                        "metrics": snapshot_metrics(get_metrics()),
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            # Final state, so the supervisor folds this incarnation's
+            # exact totals into the cluster aggregate before it goes.
+            write_beat("stopped")
             heartbeat.close()
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Child-process entry point: ``python -m repro.serve.cluster CFG``."""
+    """Child-process entry point: ``main([config_json])``."""
     args = list(sys.argv[1:] if argv is None else argv)
     if len(args) != 1:
         print(
@@ -295,18 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs.log import configure_logging
 
         configure_logging(config.access_log)
-    if config.chaos.startswith("exit-after:"):
-        # An abrupt mid-flight crash (no drain, no cleanup): schedule a
-        # hard exit once serving, the way a segfault or OOM kill lands.
-        delay_s = float(config.chaos.partition(":")[2])
-
-        async def chaotic() -> None:
-            loop = asyncio.get_running_loop()
-            loop.call_later(delay_s, os._exit, 13)
-            await run_shard(config)
-
-        asyncio.run(chaotic())
-        return 0
     asyncio.run(run_shard(config))
     return 0
 

@@ -111,8 +111,7 @@ def parse_head(head: bytes) -> tuple[str, str, str, dict[str, str], str]:
 
     Returns ``(method, path, version, headers, query)`` with header
     names lower-cased.  The query string is split off the path and
-    returned raw (without the ``?``); ``/metrics?format=text`` is the
-    only endpoint that currently reads it.
+    returned raw (without the ``?``); no endpoint reads it.
     """
     lines = head.split(b"\r\n")
     parts = lines[0].split()

@@ -37,11 +37,16 @@ cluster's robustness contract —
   slots keep counting against the ceiling so the circuit breaker's
   verdict stands.
 
+The restart and autoscale policies are pure decisions (samples in, a
+verdict out: :meth:`RestartPolicy.decide`, :class:`AutoscalePolicy`);
+the loop reads the clock and carries their verdicts out.
+
 Shard lifecycle (``shard.spawn`` / ``shard.exit`` / ``shard.restart`` /
 ``shard.benched`` / ``shard.hung`` / ``cluster.ready`` /
 ``cluster.degraded`` / ``cluster.drained``) is reported through the
 structured JSONL event log with trace correlation, and the supervisor
-aggregates per-shard heartbeat stats into ``cluster.*`` gauges.
+aggregates per-shard heartbeat stats into ``cluster.*`` gauges of its
+own registry.
 
 The supervisor is deliberately not an asyncio program: it is a small
 ``selectors``-based loop over heartbeat pipes, a self-pipe for
@@ -60,14 +65,16 @@ import math
 import os
 import selectors
 import signal
+import socket
 import subprocess
 import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from inspect import signature
+from typing import Sequence
 
 from ..errors import ParameterError
-from ..obs import get_metrics
 from ..obs.log import event, get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.promexport import (
@@ -76,7 +83,8 @@ from ..obs.promexport import (
     render_prometheus,
 )
 from ..obs.propagation import activate, deactivate, new_context
-from .cluster import ShardConfig, create_listen_socket, reuse_port_supported
+from .app import RATApp
+from .cluster import ShardConfig, create_listen_socket
 from .protocol import (
     MAX_HEAD_BYTES,
     ProtocolError,
@@ -86,7 +94,14 @@ from .protocol import (
     parse_head,
 )
 
-__all__ = ["RestartPolicy", "Shard", "Supervisor", "run_cluster"]
+__all__ = [
+    "AutoscalePolicy",
+    "RestartPolicy",
+    "SCALE_UP",
+    "Shard",
+    "Supervisor",
+    "run_cluster",
+]
 
 _log = get_logger("serve.supervisor")
 
@@ -112,15 +127,18 @@ DRAINING = "draining"
 BENCHED = "benched"
 STOPPED = "stopped"
 
+#: :meth:`AutoscalePolicy.decide`'s verdict to spawn a shard.
+SCALE_UP = "up"
+
 
 @dataclass(frozen=True)
 class RestartPolicy:
     """Backoff and circuit-breaker budget for shard restarts.
 
     A shard gets at most ``budget`` restarts within any sliding
-    ``window_s``; exceeding it benches the shard.  Backoff doubles per
-    consecutive restart (``backoff_initial_s`` -> ``backoff_max_s``)
-    and resets once a shard stays up past ``window_s``.
+    ``window_s``; exceeding it benches the shard.  Backoff grows by
+    ``backoff_factor`` per consecutive restart (``backoff_initial_s``
+    -> ``backoff_max_s``) and resets once a restarted shard is ready.
     """
 
     backoff_initial_s: float = 0.1
@@ -144,6 +162,84 @@ class RestartPolicy:
             return self.backoff_initial_s
         return min(current_s * self.backoff_factor, self.backoff_max_s)
 
+    def decide(
+        self, restart_times: Sequence[float], now: float, backoff_s: float
+    ) -> tuple[tuple[float, ...], float | None]:
+        """A crash at ``now``: the restart times to keep (those within
+        ``window_s``, ``now`` included), and the next backoff after
+        ``backoff_s``, or None to bench the shard (over ``budget``)."""
+        kept = (*(t for t in restart_times if now - t <= self.window_s), now)
+        if len(kept) > self.budget:
+            return kept, None
+        return kept, self.next_backoff(backoff_s)
+
+
+@dataclass(frozen=True)
+class AutoscalePolicy:
+    """Queue-depth autoscaling: bounds, hysteresis and smoothing.
+
+    The signal is the pending-queue depth per *ready* shard, smoothed by
+    :meth:`smooth` and acted on by :meth:`decide`.
+    """
+
+    min_shards: int
+    max_shards: int | None  # None disables autoscaling
+    scale_up_depth: float
+    scale_down_depth: float
+    cooldown_s: float
+    smoothing_s: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.scale_down_depth < self.scale_up_depth:
+            raise ParameterError(
+                "need scale_up_depth > scale_down_depth >= 0, got "
+                f"{self.scale_up_depth} / {self.scale_down_depth}"
+            )
+        if self.cooldown_s < 0:
+            raise ParameterError("scale_cooldown_s must be >= 0")
+        if self.smoothing_s <= 0:
+            raise ParameterError("scale_smoothing_s must be > 0")
+
+    def smooth(
+        self, ewma: float, ewma_at: float | None, sample: float, now: float
+    ) -> float:
+        """The EWMA after ``sample`` at ``now``; the first (``ewma_at``
+        None) seeds it.  A later one weighs ``1 - exp(-dt/smoothing_s)``,
+        so irregular loop ticks weigh by elapsed time, not tick count."""
+        if ewma_at is None:
+            return sample
+        alpha = 1.0 - math.exp(-max(now - ewma_at, 0.0) / self.smoothing_s)
+        return ewma + alpha * (sample - ewma)
+
+    def decide(
+        self,
+        ewma: float,
+        since_scale_s: float,
+        ready: Sequence[tuple[int, object, object]],
+        slots: int,
+        starting: bool,
+    ) -> str | int | None:
+        """:data:`SCALE_UP`, the id of the shard to retire, or None.
+
+        ``ready`` holds ``(shard_id, queue_depth, inflight)`` per ready
+        shard; ``slots`` counts benched slots too, so the breaker's
+        verdict stands.  Scale-up waits for any ``starting`` shard, so
+        a load step spawns one shard at a time; scale-down retires the
+        newest idle ready shard.
+        """
+        if since_scale_s < self.cooldown_s:
+            return None
+        if (
+            ewma > self.scale_up_depth
+            and slots < self.max_shards
+            and not starting
+        ):
+            return SCALE_UP
+        if ewma < self.scale_down_depth and len(ready) > self.min_shards:
+            idle = [i for i, depth, inflight in ready if not (depth or inflight)]
+            return max(idle, default=None)
+        return None
+
 
 @dataclass
 class Shard:
@@ -157,12 +253,11 @@ class Shard:
     spawned_at: float = 0.0
     last_beat: float = 0.0
     stats: dict = field(default_factory=dict)
-    restart_times: deque = field(default_factory=deque)
+    restart_times: tuple[float, ...] = ()  # kept by RestartPolicy.decide
     backoff_s: float = 0.0
     restart_at: float | None = None  # pending respawn deadline
     expected_exit: bool = False  # drained on purpose (stop / rolling)
     hung: bool = False
-    chaos: list[str] = field(default_factory=list)
     buffer: bytearray = field(default_factory=bytearray)
     #: Latest metrics snapshot from the *current* incarnation.
     metrics_live: dict = field(default_factory=dict)
@@ -173,16 +268,6 @@ class Shard:
     @property
     def pid(self) -> int | None:
         return self.proc.pid if self.proc is not None else None
-
-
-class _Scrape:
-    """One in-flight connection on the supervisor metrics listener."""
-
-    __slots__ = ("sock", "buffer")
-
-    def __init__(self, sock) -> None:
-        self.sock = sock
-        self.buffer = bytearray()
 
 
 class Supervisor:
@@ -200,7 +285,6 @@ class Supervisor:
         liveness_timeout_s: float = 3.0,
         boot_timeout_s: float = 20.0,
         drain_timeout_s: float = 10.0,
-        reuse_port: bool | None = None,
         quiet: bool = True,
         access_log: str | None = None,
         shard_command: list[str] | None = None,
@@ -211,8 +295,16 @@ class Supervisor:
         scale_down_depth: float = 1.0,
         scale_cooldown_s: float = 5.0,
         scale_smoothing_s: float = 1.0,
-        **serve_kwargs,
+        **app_options,
     ) -> None:
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise ParameterError(
+                "cluster mode needs SO_REUSEPORT, which this platform "
+                "lacks; run `rat serve` without --shards"
+            )
+        # RATApp options reach the shards as given: fail on a typo here,
+        # not in every shard.
+        signature(RATApp).bind(**app_options)
         if shards < 1:
             raise ParameterError(f"shards must be >= 1, got {shards}")
         if not 1 <= min_shards <= shards:
@@ -223,17 +315,19 @@ class Supervisor:
             raise ParameterError(
                 f"max_shards must be >= shards ({shards}), got {max_shards}"
             )
-        if scale_down_depth < 0 or scale_up_depth <= scale_down_depth:
-            raise ParameterError(
-                "need scale_up_depth > scale_down_depth >= 0, got "
-                f"{scale_up_depth} / {scale_down_depth}"
-            )
-        if scale_cooldown_s < 0:
-            raise ParameterError("scale_cooldown_s must be >= 0")
-        if scale_smoothing_s <= 0:
-            raise ParameterError("scale_smoothing_s must be > 0")
         self.n_shards = int(shards)
         self.min_shards = int(min_shards)
+        #: Autoscaler bounds + hysteresis (max_shards None = disabled),
+        #: checked before any pipe is opened.
+        self.max_shards = None if max_shards is None else int(max_shards)
+        self.autoscale = AutoscalePolicy(
+            min_shards=self.min_shards,
+            max_shards=self.max_shards,
+            scale_up_depth=float(scale_up_depth),
+            scale_down_depth=float(scale_down_depth),
+            cooldown_s=float(scale_cooldown_s),
+            smoothing_s=float(scale_smoothing_s),
+        )
         self.host = host
         self.port = int(port)
         self.policy = policy or RestartPolicy()
@@ -241,9 +335,6 @@ class Supervisor:
         self.liveness_timeout_s = float(liveness_timeout_s)
         self.boot_timeout_s = float(boot_timeout_s)
         self.drain_timeout_s = float(drain_timeout_s)
-        self.reuse_port = (
-            reuse_port_supported() if reuse_port is None else bool(reuse_port)
-        )
         self.quiet = quiet
         self.access_log = access_log
         #: Override the shard argv prefix (tests inject a stub child
@@ -252,19 +343,18 @@ class Supervisor:
         #: Test-only fault injection: shard slot -> queue of chaos
         #: directives, one consumed per (re)spawn.
         self.chaos = {k: list(v) for k, v in (chaos or {}).items()}
-        self.serve_kwargs = serve_kwargs
+        self.app_options = app_options
         self.restarts = 0
         self.active: list[Shard] = []
         self.benched: list[Shard] = []
         self._next_id = 0
         self._holder = None  # SO_REUSEPORT port reservation socket
-        self._listen_sock = None  # fallback shared listening socket
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         self._commands: deque[str] = deque()
         self._stopping = False
-        self._stop_deadline: float | None = None
+        self._stop_deadline = math.inf
         self._finished = False
         self._started = False
         self._cluster_ready: bool | None = None
@@ -286,26 +376,23 @@ class Supervisor:
         self._metrics_retired: dict = {"c": {}, "h": {}}
         #: Heartbeat keys already warned about (one event per key).
         self._unknown_stat_keys: set[str] = set()
-        #: Autoscaler bounds + hysteresis (max_shards None = disabled).
-        self.max_shards = None if max_shards is None else int(max_shards)
-        self.scale_up_depth = float(scale_up_depth)
-        self.scale_down_depth = float(scale_down_depth)
-        self.scale_cooldown_s = float(scale_cooldown_s)
-        self.scale_smoothing_s = float(scale_smoothing_s)
         self._depth_ewma = 0.0
         self._ewma_at: float | None = None
         self._last_scale_at = -math.inf
         self.scale_ups = 0
         self.scale_downs = 0
-        metrics = get_metrics()
-        self._g_live = metrics.gauge("cluster.shards_live")
-        self._g_ready = metrics.gauge("cluster.shards_ready")
-        self._g_benched = metrics.gauge("cluster.shards_benched")
-        self._g_depth_ewma = metrics.gauge("cluster.queue_depth_ewma")
-        self._c_restarts = metrics.counter("cluster.restarts")
-        self._c_benched = metrics.counter("cluster.benched")
-        self._c_scale_up = metrics.counter("cluster.scale_up")
-        self._c_scale_down = metrics.counter("cluster.scale_down")
+        #: The supervisor's own ``cluster.*`` instruments, apart from the
+        #: process registry: a co-resident app (tests, benches) can't
+        #: collide with the shard-summed series on the merged page.
+        self.metrics = MetricsRegistry()
+        self._g_live = self.metrics.gauge("cluster.shards_live")
+        self._g_ready = self.metrics.gauge("cluster.shards_ready")
+        self._g_benched = self.metrics.gauge("cluster.shards_benched")
+        self._g_depth_ewma = self.metrics.gauge("cluster.queue_depth_ewma")
+        self._c_restarts = self.metrics.counter("cluster.restarts")
+        self._c_benched = self.metrics.counter("cluster.benched")
+        self._c_scale_up = self.metrics.counter("cluster.scale_up")
+        self._c_scale_down = self.metrics.counter("cluster.scale_down")
 
     # ---- lifecycle ---------------------------------------------------------
 
@@ -326,18 +413,12 @@ class Supervisor:
             deactivate(token)
 
     def _start_locked(self) -> None:
-        if self.reuse_port:
-            # Bound (not listening) placeholder: resolves --port 0 to a
-            # concrete port and reserves it while shards come and go.
-            self._holder = create_listen_socket(
-                self.host, self.port, reuse_port=True, listen=False
-            )
-            self.port = self._holder.getsockname()[1]
-        else:
-            self._listen_sock = create_listen_socket(
-                self.host, self.port, reuse_port=False
-            )
-            self.port = self._listen_sock.getsockname()[1]
+        # Bound (not listening) placeholder: resolves --port 0 to a
+        # concrete port and reserves it while shards come and go.
+        self._holder = create_listen_socket(
+            self.host, self.port, reuse_port=True, listen=False
+        )
+        self.port = self._holder.getsockname()[1]
         self._selector.register(self._wake_r, selectors.EVENT_READ, None)
         if self.metrics_port is not None:
             # Supervisor-side scrape endpoint: merged cluster /metrics
@@ -353,7 +434,7 @@ class Supervisor:
         event(
             _log, "cluster.starting",
             host=self.host, port=self.port, shards=self.n_shards,
-            min_shards=self.min_shards, reuse_port=self.reuse_port,
+            min_shards=self.min_shards, reuse_port=True,
             metrics_port=self.metrics_port, max_shards=self.max_shards,
         )
         for _ in range(self.n_shards):
@@ -371,10 +452,10 @@ class Supervisor:
                 for key, _ in self._selector.select(timeout=0.05):
                     if key.fd == self._wake_r:
                         self._drain_wake_pipe()
+                    elif isinstance(key.data, bytearray):  # a scrape's head
+                        self._read_scrape(key.fileobj, key.data)
                     elif key.data == "metrics":
                         self._accept_scrapes()
-                    elif isinstance(key.data, _Scrape):
-                        self._read_scrape(key.data)
                     else:
                         self._read_heartbeats(key.data)
                 self._run_commands()
@@ -416,21 +497,23 @@ class Supervisor:
     ) -> bool:
         """Block until ``count`` shards are ready (default: all)."""
         want = self.n_shards if count is None else count
+        return self._wait(
+            lambda status: status.get("ready_shards", 0) >= want, timeout_s
+        )
+
+    def wait_finished(self, timeout_s: float = 30.0) -> bool:
+        return self._wait(lambda status: status.get("finished"), timeout_s)
+
+    def _wait(self, done, timeout_s: float) -> bool:
+        """Poll ``status()`` until ``done(status)``; False on timeout or
+        once the cluster finished without it."""
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
             snapshot = self.status()
-            if snapshot.get("ready_shards", 0) >= want:
+            if done(snapshot):
                 return True
             if snapshot.get("finished"):
                 return False
-            time.sleep(0.02)
-        return False
-
-    def wait_finished(self, timeout_s: float = 30.0) -> bool:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.status().get("finished"):
-                return True
             time.sleep(0.02)
         return False
 
@@ -446,6 +529,12 @@ class Supervisor:
         self._commands.append(command)
         with contextlib.suppress(OSError):
             os.write(self._wake_w, b"x")
+
+    def _announce(self, name: str, text: str, **fields) -> None:
+        """Log lifecycle event ``name``; unless quiet, print ``text``."""
+        event(_log, name, **fields)
+        if not self.quiet:
+            print(f"rat serve: {text}", flush=True)
 
     # ---- spawning ----------------------------------------------------------
 
@@ -497,25 +586,17 @@ class Supervisor:
             port=self.port,
             heartbeat_fd=heartbeat_w,
             control_fd=control_r,
-            listen_fd=(
-                None
-                if self.reuse_port
-                else self._listen_sock.fileno()
-            ),
             heartbeat_interval_s=self.heartbeat_interval_s,
             cluster_ready=bool(self._cluster_ready),
             chaos=chaos,
             access_log=self.access_log,
             drain_timeout_s=self.drain_timeout_s,
-            **self.serve_kwargs,
+            app=self.app_options,
         )
-        pass_fds = [heartbeat_w, control_r]
-        if config.listen_fd is not None:
-            pass_fds.append(config.listen_fd)
         try:
             shard.proc = subprocess.Popen(
                 self._shard_argv(config),
-                pass_fds=tuple(pass_fds),
+                pass_fds=(heartbeat_w, control_r),
                 env=self._child_env(),
             )
         finally:
@@ -534,16 +615,11 @@ class Supervisor:
         shard.metrics_live = {}
         shard.restart_at = None
         self._selector.register(heartbeat_r, selectors.EVENT_READ, shard)
-        event(
-            _log, "shard.spawn",
+        self._announce(
+            "shard.spawn",
+            f"shard {shard.shard_id} spawned (pid {shard.proc.pid})",
             shard=shard.shard_id, pid=shard.proc.pid, chaos=chaos or None,
         )
-        if not self.quiet:
-            print(
-                f"rat serve: shard {shard.shard_id} spawned "
-                f"(pid {shard.proc.pid})",
-                flush=True,
-            )
 
     def _close_shard_fds(self, shard: Shard) -> None:
         if shard.heartbeat_fd >= 0:
@@ -650,16 +726,11 @@ class Supervisor:
             if state == "ready" and shard.state == STARTING:
                 shard.state = READY
                 shard.backoff_s = 0.0
-                event(
-                    _log, "shard.ready",
+                self._announce(
+                    "shard.ready",
+                    f"shard {shard.shard_id} ready (pid {shard.pid})",
                     shard=shard.shard_id, pid=shard.pid,
                 )
-                if not self.quiet:
-                    print(
-                        f"rat serve: shard {shard.shard_id} ready "
-                        f"(pid {shard.pid})",
-                        flush=True,
-                    )
             elif state == "draining" and shard.state in (STARTING, READY):
                 shard.state = DRAINING
 
@@ -693,15 +764,16 @@ class Supervisor:
             )
             shard.metrics_live = {}
 
-    def _retire_metrics(self, shard: Shard) -> None:
-        """Fold a departing slot's history into the cluster base.
+    def _retire(self, shard: Shard, state: str) -> None:
+        """Take a slot out of ``active`` for good (drained, stopped or
+        benched) and fold its history into the cluster base.
 
-        Called when a slot leaves ``active`` for good (drained, stopped
-        or benched): its counters/histograms keep counting in the
-        aggregate forever, while its per-shard *gauges* — which only
-        ever come from the live snapshot — disappear from the
-        exposition.
+        Its counters/histograms keep counting in the aggregate forever,
+        while its per-shard *gauges* — which only ever come from the
+        live snapshot — disappear from the exposition.
         """
+        shard.state = state
+        self.active.remove(shard)
         self._fold_incarnation_metrics(shard)
         if shard.metrics_acc:
             self._metrics_retired = merge_snapshots(
@@ -730,49 +802,37 @@ class Supervisor:
                 expected=shard.expected_exit, hung=shard.hung,
             )
             if shard.expected_exit or self._stopping:
-                shard.state = STOPPED
-                self.active.remove(shard)
-                self._retire_metrics(shard)
-                continue
-            self._schedule_restart(shard)
+                self._retire(shard, STOPPED)
+            else:
+                self._schedule_restart(shard)
 
     def _schedule_restart(self, shard: Shard) -> None:
         now = time.monotonic()
-        shard.restart_times.append(now)
-        while (
-            shard.restart_times
-            and now - shard.restart_times[0] > self.policy.window_s
-        ):
-            shard.restart_times.popleft()
-        if len(shard.restart_times) > self.policy.budget:
-            shard.state = BENCHED
-            self.active.remove(shard)
+        shard.restart_times, backoff_s = self.policy.decide(
+            shard.restart_times, now, shard.backoff_s
+        )
+        in_window = len(shard.restart_times)
+        if backoff_s is None:
+            self._retire(shard, BENCHED)
             self.benched.append(shard)
-            self._retire_metrics(shard)
             self._c_benched.inc()
-            event(
-                _log, "shard.benched",
-                shard=shard.shard_id,
-                restarts_in_window=len(shard.restart_times),
+            self._announce(
+                "shard.benched",
+                f"shard {shard.shard_id} benched after {in_window} "
+                f"restarts in {self.policy.window_s:g}s (circuit breaker)",
+                shard=shard.shard_id, restarts_in_window=in_window,
                 window_s=self.policy.window_s,
             )
-            if not self.quiet:
-                print(
-                    f"rat serve: shard {shard.shard_id} benched after "
-                    f"{len(shard.restart_times)} restarts in "
-                    f"{self.policy.window_s:g}s (circuit breaker)",
-                    flush=True,
-                )
             return
-        shard.backoff_s = self.policy.next_backoff(shard.backoff_s)
-        shard.restart_at = now + shard.backoff_s
+        shard.backoff_s = backoff_s
+        shard.restart_at = now + backoff_s
         shard.state = STARTING
         self.restarts += 1
         self._c_restarts.inc()
         event(
             _log, "shard.restart",
-            shard=shard.shard_id, backoff_s=shard.backoff_s,
-            restarts_in_window=len(shard.restart_times),
+            shard=shard.shard_id, backoff_s=backoff_s,
+            restarts_in_window=in_window,
         )
 
     def _check_liveness(self) -> None:
@@ -821,11 +881,10 @@ class Supervisor:
         if not ids:
             return
         self._rolling.extend(ids)
-        event(_log, "cluster.rolling_restart", shards=ids)
-        if not self.quiet:
-            print(
-                f"rat serve: rolling restart of shards {ids}", flush=True
-            )
+        self._announce(
+            "cluster.rolling_restart", f"rolling restart of shards {ids}",
+            shards=ids,
+        )
 
     def _advance_rolling(self) -> None:
         if self._stopping:
@@ -882,99 +941,67 @@ class Supervisor:
     # ---- autoscaling -------------------------------------------------------
 
     def _advance_autoscale(self) -> None:
-        """Spawn/retire shards from smoothed queue-depth heartbeats.
-
-        Disabled unless ``max_shards`` is set.  The signal is the
-        cluster's total pending-queue depth per *ready* shard, smoothed
-        by a time-aware EWMA (irregular loop ticks weigh by elapsed
-        time, not tick count).  Hysteresis comes from the
-        ``scale_up_depth > scale_down_depth`` gap plus a cooldown after
-        every action; scale-up also waits for any starting shard to
-        become ready first, so one load step spawns one shard at a
-        time.  Scale-down retires the *newest* idle ready shard through
-        the ordinary drain path — in-flight and queued requests finish,
-        and the expected exit spends no restart budget.  Benched slots
-        count against ``max_shards``: the breaker's verdict stands.
+        """Carry out :class:`AutoscalePolicy`'s verdicts.  Scale-down
+        goes through the ordinary drain path: in-flight and queued
+        requests finish, and the expected exit spends no restart budget.
         """
         if self.max_shards is None or self._stopping:
             return
         if self._rolling or self._rolling_step:
             return
-        ready = [s for s in self.active if s.state == READY]
+        ready = [
+            (s.shard_id, s.stats.get("queue_depth"), s.stats.get("inflight"))
+            for s in self.active
+            if s.state == READY
+        ]
         if not ready:
             return
-        depth = 0.0
-        for shard in ready:
-            value = shard.stats.get("queue_depth")
-            if isinstance(value, (int, float)):
-                depth += value
-        per_ready = depth / len(ready)
+        depth = sum(d for _, d, _ in ready if isinstance(d, (int, float)))
         now = time.monotonic()
-        if self._ewma_at is None:
-            self._depth_ewma = per_ready
-        else:
-            dt = max(now - self._ewma_at, 0.0)
-            alpha = 1.0 - math.exp(-dt / self.scale_smoothing_s)
-            self._depth_ewma += alpha * (per_ready - self._depth_ewma)
+        self._depth_ewma = self.autoscale.smooth(
+            self._depth_ewma, self._ewma_at, depth / len(ready), now
+        )
         self._ewma_at = now
         self._g_depth_ewma.set(self._depth_ewma)
-        if now - self._last_scale_at < self.scale_cooldown_s:
+        verdict = self.autoscale.decide(
+            self._depth_ewma,
+            now - self._last_scale_at,
+            ready,
+            len(self.active) + len(self.benched),
+            any(s.state == STARTING for s in self.active),
+        )
+        if verdict is None:
             return
-        slots = len(self.active) + len(self.benched)
-        if (
-            self._depth_ewma > self.scale_up_depth
-            and slots < self.max_shards
-            and not any(s.state == STARTING for s in self.active)
-        ):
+        self._last_scale_at = now
+        if verdict == SCALE_UP:
             shard = self._spawn_slot()
             self.scale_ups += 1
             self._c_scale_up.inc()
-            self._last_scale_at = now
-            event(
-                _log, "cluster.scale_up",
+            self._announce(
+                "cluster.scale_up",
+                f"scale-up -> shard {shard.shard_id} "
+                f"(queue depth {self._depth_ewma:.1f}/ready-shard)",
                 shard=shard.shard_id, depth_ewma=self._depth_ewma,
                 ready_shards=len(ready),
             )
-            if not self.quiet:
-                print(
-                    f"rat serve: scale-up -> shard {shard.shard_id} "
-                    f"(queue depth {self._depth_ewma:.1f}/ready-shard)",
-                    flush=True,
-                )
             return
-        if (
-            self._depth_ewma < self.scale_down_depth
-            and len(ready) > self.min_shards
-        ):
-            idle = [
-                s for s in ready
-                if not s.stats.get("queue_depth")
-                and not s.stats.get("inflight")
-            ]
-            if not idle:
-                return
-            victim = max(idle, key=lambda s: s.shard_id)
-            self._drain_shard(victim)
-            self.scale_downs += 1
-            self._c_scale_down.inc()
-            self._last_scale_at = now
-            event(
-                _log, "cluster.scale_down",
-                shard=victim.shard_id, depth_ewma=self._depth_ewma,
-                ready_shards=len(ready),
-            )
-            if not self.quiet:
-                print(
-                    f"rat serve: scale-down -> draining shard "
-                    f"{victim.shard_id} (idle, queue depth "
-                    f"{self._depth_ewma:.2f}/ready-shard)",
-                    flush=True,
-                )
+        victim = next(s for s in self.active if s.shard_id == verdict)
+        self._drain_shard(victim)
+        self.scale_downs += 1
+        self._c_scale_down.inc()
+        self._announce(
+            "cluster.scale_down",
+            f"scale-down -> draining shard {victim.shard_id} (idle, queue "
+            f"depth {self._depth_ewma:.2f}/ready-shard)",
+            shard=victim.shard_id, depth_ewma=self._depth_ewma,
+            ready_shards=len(ready),
+        )
 
     # ---- aggregated metrics endpoint ---------------------------------------
 
     def cluster_metrics_text(self) -> str:
-        """The merged cluster exposition (plus supervisor-own series).
+        """The merged cluster exposition, after the supervisor's own
+        ``cluster.*`` series.
 
         Counters and histograms are summed over every incarnation that
         ever reported (retired base + per-slot accumulators + live
@@ -992,20 +1019,8 @@ class Supervisor:
                 live_gauges = shard.metrics_live.get("g")
                 if shard.proc is not None and isinstance(live_gauges, dict):
                     gauges[str(shard.shard_id)] = live_gauges
-        merged = merge_snapshots(parts)
-        # The supervisor's own cluster.* instruments, filtered out of
-        # the process registry so a co-resident app (tests, benches)
-        # can't collide with the shard-summed series.
-        registry = get_metrics()
-        own = MetricsRegistry()
-        for table in ("_counters", "_gauges", "_histograms"):
-            setattr(own, table, {
-                name: instrument
-                for name, instrument in getattr(registry, table).items()
-                if name.startswith("cluster.")
-            })
-        return render_prometheus(own) + render_cluster_metrics(
-            merged, gauges
+        return render_prometheus(self.metrics) + render_cluster_metrics(
+            merge_snapshots(parts), gauges
         )
 
     def _accept_scrapes(self) -> None:
@@ -1017,26 +1032,26 @@ class Supervisor:
             conn.setblocking(False)
             try:
                 self._selector.register(
-                    conn, selectors.EVENT_READ, _Scrape(conn)
+                    conn, selectors.EVENT_READ, bytearray()
                 )
             except (KeyError, ValueError):  # pragma: no cover
                 conn.close()
 
-    def _read_scrape(self, scrape: _Scrape) -> None:
+    def _read_scrape(self, sock: socket.socket, buffer: bytearray) -> None:
         try:
-            data = scrape.sock.recv(65536)
+            data = sock.recv(65536)
         except BlockingIOError:
             return
         except OSError:
             data = b""
         if data:
-            scrape.buffer.extend(data)
+            buffer.extend(data)
             if (
-                b"\r\n\r\n" not in scrape.buffer
-                and len(scrape.buffer) <= MAX_HEAD_BYTES
+                b"\r\n\r\n" not in buffer
+                and len(buffer) <= MAX_HEAD_BYTES
             ):
                 return  # head incomplete; wait for more
-        self._finish_scrape(scrape)
+        self._finish_scrape(sock, buffer)
 
     def _scrape_response(self, data: bytes) -> Response:
         """Answer a scrape from the bytes read: EOF or a full head."""
@@ -1060,23 +1075,23 @@ class Supervisor:
             return Response(body=json.dumps(self.status()).encode())
         return error_body("not found", 404)
 
-    def _finish_scrape(self, scrape: _Scrape) -> None:
+    def _finish_scrape(self, sock: socket.socket, buffer: bytearray) -> None:
         with contextlib.suppress(KeyError, ValueError):
-            self._selector.unregister(scrape.sock)
+            self._selector.unregister(sock)
         try:
             response = format_response(
-                self._scrape_response(bytes(scrape.buffer)), keep_alive=False
+                self._scrape_response(bytes(buffer)), keep_alive=False
             )
             # A scrape response is small and the peer is a scraper on
             # localhost: a short blocking send keeps the loop simple.
-            scrape.sock.setblocking(True)
-            scrape.sock.settimeout(2.0)
-            scrape.sock.sendall(response)
+            sock.setblocking(True)
+            sock.settimeout(2.0)
+            sock.sendall(response)
         except OSError:
             pass
         finally:
             with contextlib.suppress(OSError):
-                scrape.sock.close()
+                sock.close()
 
     # ---- cluster drain -----------------------------------------------------
 
@@ -1090,11 +1105,9 @@ class Supervisor:
         event(_log, "cluster.draining", shards=len(self.active))
         for shard in list(self.active):
             if shard.proc is None:
-                shard.state = STOPPED
-                self.active.remove(shard)
-                self._retire_metrics(shard)
-                continue
-            self._drain_shard(shard)
+                self._retire(shard, STOPPED)
+            else:
+                self._drain_shard(shard)
 
     def _advance_stop(self) -> None:
         if not self._stopping:
@@ -1102,10 +1115,7 @@ class Supervisor:
         if not self.active:
             self._finished = True
             return
-        if (
-            self._stop_deadline is not None
-            and time.monotonic() >= self._stop_deadline
-        ):
+        if time.monotonic() >= self._stop_deadline:
             for shard in self.active:
                 if shard.proc is not None:
                     with contextlib.suppress(OSError):
@@ -1130,9 +1140,8 @@ class Supervisor:
                 if isinstance(value, (int, float)):
                     totals[key] += value
         self._totals = totals
-        metrics = get_metrics()
         for key, value in totals.items():
-            metrics.gauge(f"cluster.{key}").set(value)
+            self.metrics.gauge(f"cluster.{key}").set(value)
         if (
             cluster_ready == self._cluster_ready
             and ready_count == self._ready_count
@@ -1202,9 +1211,9 @@ class Supervisor:
         self.active.clear()
         with contextlib.suppress(RuntimeError, KeyError):
             for key in list(self._selector.get_map().values()):
-                if isinstance(key.data, _Scrape):
+                if isinstance(key.data, bytearray):
                     with contextlib.suppress(OSError):
-                        key.data.sock.close()
+                        key.fileobj.close()
         if self._metrics_sock is not None:
             with contextlib.suppress(KeyError, ValueError):
                 self._selector.unregister(self._metrics_sock)
@@ -1219,60 +1228,26 @@ class Supervisor:
         if self._holder is not None:
             self._holder.close()
             self._holder = None
-        if self._listen_sock is not None:
-            self._listen_sock.close()
-            self._listen_sock = None
         self._finished = True
         self._publish_status()
         event(_log, "cluster.drained", restarts=self.restarts)
 
 
-def run_cluster(
-    *,
-    shards: int,
-    min_shards: int = 1,
-    host: str = "127.0.0.1",
-    port: int = 8321,
-    policy: RestartPolicy | None = None,
-    drain_timeout_s: float = 10.0,
-    quiet: bool = False,
-    access_log: str | None = None,
-    metrics_port: int | None = None,
-    max_shards: int | None = None,
-    scale_up_depth: float = 8.0,
-    scale_down_depth: float = 1.0,
-    scale_cooldown_s: float = 5.0,
-    **serve_kwargs,
-) -> int:
+def run_cluster(*, quiet: bool = False, **options) -> int:
     """The ``rat serve --shards N`` entry point (blocking, returns 0).
 
-    SIGTERM and SIGINT both begin a graceful cluster drain; SIGHUP
-    begins a rolling restart.  The startup banner mirrors the
-    single-process one (``rat serve: cluster listening on http://H:P``)
-    so scripts using ``--port 0`` can parse the bound port either way;
-    with ``--metrics-port`` a second parseable banner names the
-    aggregated-metrics listener.
+    ``options`` are :class:`Supervisor`'s.  SIGTERM and SIGINT both
+    begin a graceful cluster drain; SIGHUP begins a rolling restart.
+    The startup banner mirrors the single-process one (``rat serve:
+    cluster listening on http://H:P``) so scripts using ``--port 0``
+    can parse the bound port either way; with ``--metrics-port`` a
+    second parseable banner names the aggregated-metrics listener.
     """
-    supervisor = Supervisor(
-        shards=shards,
-        min_shards=min_shards,
-        host=host,
-        port=port,
-        policy=policy,
-        drain_timeout_s=drain_timeout_s,
-        quiet=quiet,
-        access_log=access_log,
-        metrics_port=metrics_port,
-        max_shards=max_shards,
-        scale_up_depth=scale_up_depth,
-        scale_down_depth=scale_down_depth,
-        scale_cooldown_s=scale_cooldown_s,
-        **serve_kwargs,
-    )
-    if access_log is not None:
+    supervisor = Supervisor(quiet=quiet, **options)
+    if supervisor.access_log is not None:
         from ..obs.log import configure_logging
 
-        configure_logging(access_log)
+        configure_logging(supervisor.access_log)
     supervisor.start()
     previous = {}
     for signame, action in (
@@ -1288,9 +1263,10 @@ def run_cluster(
             pass  # non-main thread or platform without the signal
     if not quiet:
         bounds = (
-            f"shards={shards}, min_shards={min_shards}"
-            + (f", max_shards={max_shards}" if max_shards else "")
+            f"shards={supervisor.n_shards}, min_shards={supervisor.min_shards}"
         )
+        if supervisor.max_shards:
+            bounds += f", max_shards={supervisor.max_shards}"
         print(
             f"rat serve: cluster listening on "
             f"http://{supervisor.host}:{supervisor.port} "

@@ -130,6 +130,22 @@ class TestBatchPredictParity:
         assert row.bound == scalar.bound
         assert row.as_dict() == scalar.as_dict()
 
+    @pytest.mark.parametrize("mode", list(BufferingMode))
+    def test_fractional_counts_rehydrate_to_their_row(self, pdf1d_rat, mode):
+        # Counts that are not whole numbers of at least 1 stay floats, so
+        # each rehydrated worksheet predicts exactly its batch row.
+        batch = BatchInput.from_base(
+            pdf1d_rat, 3,
+            {"elements_in": [0.5, 512.7, 512.0],
+             "n_iterations": [2.5, 400.0, 1.0]},
+        )
+        prediction = batch_predict(batch, mode)
+        for i in range(len(batch)):
+            assert predict(batch.row(i), mode) == prediction.row(i)
+        assert batch.row(1).dataset.elements_in == 512.7
+        assert type(batch.row(2).dataset.elements_in) is int
+        assert type(batch.row(2).software.n_iterations) is int
+
     def test_rows_with_mismatched_inputs_rejected(self, md_rat):
         result = batch_predict(BatchInput.from_inputs([md_rat]))
         with pytest.raises(ParameterError, match="inputs"):

@@ -119,7 +119,7 @@ class TestSinglePassParity:
     @given(mixed_batches())
     def test_matches_scalar_validation_row_by_row(self, arguments):
         batch = BatchInput(**arguments, check=False)
-        valid, failures = quarantine_rows(batch)
+        failed, failures = quarantine_rows(batch)
         expected = {
             i: found
             for i in range(len(batch))
@@ -132,9 +132,7 @@ class TestSinglePassParity:
             assert _same_float(failure.value, value)
             assert failure.reason == reason
             assert failure.point is None
-        assert valid.tolist() == [
-            i for i in range(len(batch)) if i not in expected
-        ]
+        assert failed.tolist() == sorted(expected)
         # row_violations reads the same pass.
         assert [(v.row, v.column, v.message) for v in row_violations(batch)] == [
             (f.index, f.parameter, f.reason) for f in failures
@@ -231,8 +229,8 @@ class TestFailureRecords:
         space = DesignSpace.grid(
             pdf1d_rat, clock_mhz=[0.0, 100.0, -5.0, 150.0, float("inf")]
         )
-        valid, failures = quarantine_rows(space.to_batch(check=False), space)
-        assert valid.tolist() == [1, 3]
+        failed, failures = quarantine_rows(space.to_batch(check=False), space)
+        assert failed.tolist() == [0, 2, 4]
         assert failures == tuple(
             PointFailure(
                 index=i,
@@ -251,9 +249,9 @@ class TestFailureRecords:
 
     def test_empty_when_nothing_failed(self, pdf1d_rat):
         space = DesignSpace.grid(pdf1d_rat, clock_mhz=[100.0, 150.0])
-        valid, failures = quarantine_rows(space.to_batch(check=False), space)
+        failed, failures = quarantine_rows(space.to_batch(check=False), space)
         assert failures == ()
-        assert valid.tolist() == [0, 1]
+        assert failed.tolist() == []
         result = explore(space, on_error="quarantine")
         assert result.failures == () and result.n_failed == 0
 

@@ -1,5 +1,6 @@
 """Unit tests for the exploration runtime (repro.explore.runtime)."""
 
+import gc
 import pickle
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.explore import (
     PointFailure,
     quarantine_rows,
     run_chunks,
+    runtime,
 )
 from repro.explore.runtime import check_on_error
 
@@ -109,8 +111,8 @@ class TestQuarantineRows:
         batch = BatchInput.from_base(
             simple_rat, 4, {"clock_hz": [1e8, 0.0, 2e8, -5.0]}, check=False
         )
-        valid, failures = quarantine_rows(batch)
-        assert valid.tolist() == [0, 2]
+        failed, failures = quarantine_rows(batch)
+        assert failed.tolist() == [1, 3]
         assert [f.index for f in failures] == [1, 3]
         assert all(f.parameter == "clock_hz" for f in failures)
         assert failures[0].reason == (
@@ -124,9 +126,54 @@ class TestQuarantineRows:
 
     def test_all_valid(self, simple_rat):
         batch = BatchInput.from_base(simple_rat, 3, check=False)
-        valid, failures = quarantine_rows(batch)
-        assert valid.tolist() == [0, 1, 2]
+        failed, failures = quarantine_rows(batch)
+        assert failed.tolist() == []
         assert failures == ()
+
+    @staticmethod
+    def _many_failures(simple_rat):
+        clocks = np.full(6000, 1e8)
+        clocks[::2] = 0.0
+        space = DesignSpace(
+            base=simple_rat, axes=("clock_mhz",), values=clocks[:, None],
+        )
+        return space.to_batch(check=False), space
+
+    def test_records_built_without_collector_passes(self, simple_rat):
+        # 3,000 records with point dicts would run ~8 young-generation
+        # passes, each counting towards a full collection of the heap.
+        batch, space = self._many_failures(simple_rat)
+        assert gc.isenabled()
+        before = gc.get_stats()[0]["collections"]
+        _, failures = quarantine_rows(batch, space)
+        [None]  # a tracked allocation: the deferred pass runs here
+        assert len(failures) == 3000
+        assert gc.get_stats()[0]["collections"] - before <= 2
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, simple_rat):
+        batch, space = self._many_failures(simple_rat)
+        gc.disable()
+        try:
+            quarantine_rows(batch, space)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_restored_when_a_record_fails(self, simple_rat):
+        batch, space = self._many_failures(simple_rat)
+
+        class Boom(Exception):
+            pass
+
+        def boom(*_):
+            raise Boom
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runtime, "_new_record", boom)
+            with pytest.raises(Boom):
+                quarantine_rows(batch, space)
+        assert gc.isenabled()
 
 
 class TestRunChunksSerial:

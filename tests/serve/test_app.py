@@ -405,6 +405,36 @@ class TestExploreEndpoint:
             )
             assert status == 400, axes
 
+    def test_same_spec_as_cli_same_axes_and_ranking(self, capsys):
+        # `rat explore` and /v1/explore share the range helper and the
+        # ranking: one spec, one answer, quarantined points included.
+        from repro.cli import main
+
+        assert main([
+            "explore", "--study", "pdf1d", "--axis", "clock_mhz=-50:300:8",
+            "--axis", "alpha=0.25,0.5,1.0", "--on-error", "quarantine",
+            "--top", "5", "--format", "json",
+        ]) == 0
+        cli = json.loads(capsys.readouterr().out)
+        [(status, served, _)] = run_app(post("/v1/explore", {
+            "study": "pdf1d",
+            "axes": {
+                "clock_mhz": {"lo": -50, "hi": 300, "count": 8},
+                "alpha": [0.25, 0.5, 1.0],
+            },
+            "on_error": "quarantine",
+            "top": 5,
+        }))
+        assert status == 200
+        assert served["axes"] == cli["axes"]
+        assert len(served["axes"]["clock_mhz"]) == 8
+        assert served["failures"] == cli["failures"]
+        assert len(served["failures"]) == 6
+        assert served["predictions"] == cli["predictions"]
+        speedups = [p["speedup"] for p in served["predictions"]]
+        assert len(speedups) == 5
+        assert speedups == sorted(speedups, reverse=True)
+
     def test_point_limit_413(self):
         [(status, payload, _)] = run_app(
             post("/v1/explore", {

@@ -19,7 +19,6 @@ import time
 
 import pytest
 
-from repro.serve.cluster import reuse_port_supported
 from repro.serve.supervisor import RestartPolicy, Supervisor
 
 WORKSHEET_PATH = "examples/worksheets/pdf1d.json"
@@ -144,18 +143,6 @@ class TestClusterServing:
             status, metrics = http(port, "GET", "/metrics")
             assert status == 200
             assert b'shard="' in metrics
-
-    @pytest.mark.skipif(
-        not reuse_port_supported(), reason="needs a non-SO_REUSEPORT check"
-    )
-    def test_inherited_fd_fallback_mode_serves(self):
-        with cluster(shards=2, min_shards=1, reuse_port=False) as supervisor:
-            assert supervisor.wait_ready(2, timeout_s=60.0)
-            port = supervisor.status()["port"]
-            status, body = http(port, "POST", "/v1/predict", WORKSHEET)
-            assert status == 200
-            blob = json.loads(body)
-            assert blob["predictions"]["single"]["speedup"] > 0
 
     def test_ready_endpoint_tracks_cluster_floor(self):
         with cluster(shards=2, min_shards=2) as supervisor:

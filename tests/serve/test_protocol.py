@@ -34,9 +34,9 @@ class TestParseHead:
         assert headers == {"x-custom-header": "spaced out"}
 
     def test_query_string_split_from_path(self):
-        _, path, _, _, query = parse_head(b"GET /metrics?format=text HTTP/1.1")
+        _, path, _, _, query = parse_head(b"GET /metrics?a=1&b=2 HTTP/1.1")
         assert path == "/metrics"
-        assert query == "format=text"
+        assert query == "a=1&b=2"
 
     def test_malformed_request_line(self):
         with pytest.raises(ProtocolError):

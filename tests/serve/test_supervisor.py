@@ -9,8 +9,10 @@ second per spawn — the real-shard integration lives in
 """
 
 import contextlib
+import json
 import os
 import signal
+import socket
 import sys
 import threading
 import time
@@ -18,6 +20,7 @@ import time
 import pytest
 
 from repro.errors import ParameterError
+from repro.serve.cluster import ShardConfig
 from repro.serve.supervisor import RestartPolicy, Supervisor
 
 # A minimal shard: heartbeats on the inherited fd, drains on command or
@@ -370,3 +373,86 @@ class TestRollingRestart:
             assert status["cluster_ready"] is True
             # Replacements are new identities (fresh shard ids).
             assert all(i >= 2 for i in supervisor.shard_pids())
+
+
+# The stub shard above, after writing the config JSON it was started
+# with to the file its first argument names.
+DUMP_STUB = (
+    "import os, sys\n"
+    "path = sys.argv.pop(1)\n"
+    "with open(path + '.tmp', 'w') as fh:\n"
+    "    fh.write(sys.argv[1])\n"
+    "os.replace(path + '.tmp', path)\n"
+) + STUB
+
+
+def dump_command(path):
+    return [sys.executable, "-c", DUMP_STUB, str(path)]
+
+
+class TestShardConfig:
+    def test_app_options_reach_the_shards(self, tmp_path):
+        # The options benchmarks/bench_serve.py gives its clusters.
+        path = tmp_path / "config.json"
+        with running(
+            shards=1, port=0, shard_command=dump_command(path),
+            max_batch_size=256,
+        ) as supervisor:
+            assert supervisor.wait_ready(1, timeout_s=10.0)
+        config = json.loads(path.read_text())
+        assert config["app"] == {"max_batch_size": 256}
+        assert sorted(config) == sorted(
+            ShardConfig.__dataclass_fields__
+        )
+
+    def test_cli_serve_options_reach_the_shards(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.serve import supervisor as supervisor_module
+
+        path = tmp_path / "config.json"
+        made = []
+
+        class StubShards(Supervisor):
+            def __init__(self, **options):
+                super().__init__(**{
+                    **options, **FAST, "shard_command": dump_command(path),
+                })
+                made.append(self)
+
+        monkeypatch.setattr(supervisor_module, "Supervisor", StubShards)
+        serve = threading.Thread(target=main, daemon=True, args=([
+            "serve", "--port", "0", "--shards", "1", "--max-batch", "17",
+            "--max-pending", "33", "--deadline-ms", "250",
+        ],))
+        serve.start()
+        try:
+            wait_for(path.exists, message="the shard's config")
+        finally:
+            wait_for(lambda: made, message="the supervisor")
+            made[0].stop()
+            serve.join(timeout=15.0)
+        assert not serve.is_alive()
+        assert json.loads(path.read_text())["app"] == {
+            "max_batch_size": 17,
+            "max_pending": 33,
+            "default_deadline_s": 0.25,
+        }
+
+    def test_unknown_app_option_rejected(self):
+        with pytest.raises(TypeError, match="max_batch"):
+            Supervisor(shards=1, max_batch=8)
+
+    def test_cluster_needs_so_reuseport(self, monkeypatch):
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        with pytest.raises(ParameterError, match="SO_REUSEPORT"):
+            Supervisor(shards=1)
+
+    def test_old_layout_config_rejected(self):
+        # A shard refuses a config from a supervisor that still passed
+        # the RATApp options as fields of their own.
+        old = {
+            "shard_id": 0, "host": "127.0.0.1", "port": 8321,
+            "heartbeat_fd": 5, "control_fd": 6, "max_batch_size": 64,
+        }
+        with pytest.raises(TypeError):
+            ShardConfig.from_json(json.dumps(old))
