@@ -30,6 +30,7 @@ from ..core.buffering import (
 )
 from ..core.goalseek import required_throughput_proc
 from ..core.methodology import DesignCandidate, Requirements, Verdict, evaluate_design
+from ..core.params import WORKSHEET_FIELDS
 from ..core.throughput import predict
 from ..errors import ExperimentError
 from ..platforms.device import ResourceKind
@@ -197,25 +198,14 @@ def _input_experiment(
 
 
 def _table1() -> ExperimentResult:
-    """Table 1: the input-parameter schema itself."""
+    """Table 1: the input-parameter schema itself.
+
+    The fields a worksheet serialises to must be the ones the parser
+    reads (:data:`~repro.core.params.WORKSHEET_FIELDS`), plus its name.
+    """
     study = get_case_study("pdf1d")
     fields = sorted(study.rat.to_dict())
-    expected = sorted(
-        [
-            "name",
-            "elements_in",
-            "elements_out",
-            "bytes_per_element",
-            "throughput_ideal_mbps",
-            "alpha_write",
-            "alpha_read",
-            "ops_per_element",
-            "throughput_proc",
-            "clock_mhz",
-            "t_soft",
-            "n_iterations",
-        ]
-    )
+    expected = sorted(["name", *(key for key, _, _, _ in WORKSHEET_FIELDS)])
     if fields != expected:
         raise ExperimentError(f"schema drift: {fields} != {expected}")
     return ExperimentResult(

@@ -30,10 +30,9 @@ import numpy as np
 
 from ..core.batch import BatchInput, batch_predict
 from ..core.buffering import BufferingMode
-from ..core.params import RATInput
+from ..core.params import WORKSHEET_FIELDS, RATInput
 from ..core.throughput import predict
 from ..errors import ParameterError
-from ..units import MB, MHZ
 
 __all__ = ["Range", "UncertainInput", "IntervalPrediction", "MonteCarloPrediction"]
 
@@ -48,17 +47,10 @@ _FIELD_DIRECTIONS: dict[str, int] = {
     "bytes_per_element": -1,
 }
 
-#: Worksheet field -> (BatchInput column, worksheet-to-SI scale factor).
-#: The scale mirrors the ``from_worksheet`` constructors so the batched
-#: Monte Carlo path applies the identical unit conversion.
+#: Worksheet field -> (BatchInput column, worksheet-to-SI scale factor),
+#: the conversions the scalar path stages with.
 _FIELD_COLUMNS: dict[str, tuple[str, float]] = {
-    "alpha_write": ("alpha_write", 1.0),
-    "alpha_read": ("alpha_read", 1.0),
-    "throughput_proc": ("throughput_proc", 1.0),
-    "clock_mhz": ("clock_hz", MHZ),
-    "ops_per_element": ("ops_per_element", 1.0),
-    "bytes_per_element": ("bytes_per_element", 1.0),
-    "throughput_ideal_mbps": ("ideal_bandwidth", MB),
+    key: (column, scale) for key, column, scale, _ in WORKSHEET_FIELDS
 }
 
 

@@ -59,11 +59,8 @@ from ..errors import ParameterError
 from ..obs import get_metrics, get_tracer
 from .buffering import BufferingMode
 from .params import (
-    CommunicationParams,
-    ComputationParams,
-    DatasetParams,
+    WORKSHEET_FIELDS,
     RATInput,
-    SoftwareParams,
     at_least_one_violation,
     fraction_violation,
     nonnegative_violation,
@@ -87,19 +84,7 @@ __all__ = [
 #: BatchInput array-column names, in worksheet order.  All values are SI
 #: (bytes, bytes/s, Hz, seconds) — the same convention as the scalar
 #: parameter dataclasses, *not* the worksheet's MB/s / MHz display units.
-_COLUMNS = (
-    "elements_in",
-    "elements_out",
-    "bytes_per_element",
-    "ideal_bandwidth",
-    "alpha_write",
-    "alpha_read",
-    "ops_per_element",
-    "throughput_proc",
-    "clock_hz",
-    "t_soft",
-    "n_iterations",
-)
+_COLUMNS = tuple(column for _, column, _, _ in WORKSHEET_FIELDS)
 
 #: Result columns, in :class:`BatchPrediction` field order.
 _RESULT_COLUMNS = (
@@ -139,29 +124,6 @@ def _as_column(name: str, values: object, n: int) -> np.ndarray:
             f"{name} has {array.shape[0]} rows, expected {n}"
         )
     return array
-
-
-def _count(value: float) -> int | float:
-    """A count column's value for a worksheet (see :meth:`BatchInput.row`)."""
-    value = float(value)
-    return int(value) if value >= 1 and value.is_integer() else value
-
-
-def _base_values(base: RATInput) -> dict[str, float]:
-    """The base worksheet's value of every column, SI, as Python floats."""
-    return {
-        "elements_in": float(base.dataset.elements_in),
-        "elements_out": float(base.dataset.elements_out),
-        "bytes_per_element": float(base.dataset.bytes_per_element),
-        "ideal_bandwidth": float(base.communication.ideal_bandwidth),
-        "alpha_write": float(base.communication.alpha_write),
-        "alpha_read": float(base.communication.alpha_read),
-        "ops_per_element": float(base.computation.ops_per_element),
-        "throughput_proc": float(base.computation.throughput_proc),
-        "clock_hz": float(base.computation.clock_hz),
-        "t_soft": float(base.software.t_soft),
-        "n_iterations": float(base.software.n_iterations),
-    }
 
 
 def _check_column_name(name: str) -> None:
@@ -414,45 +376,10 @@ class BatchInput:
         inputs = list(inputs)
         if not inputs:
             raise ParameterError("from_inputs requires at least one input")
-        return cls(
-            elements_in=np.array(
-                [r.dataset.elements_in for r in inputs], dtype=np.float64
-            ),
-            elements_out=np.array(
-                [r.dataset.elements_out for r in inputs], dtype=np.float64
-            ),
-            bytes_per_element=np.array(
-                [r.dataset.bytes_per_element for r in inputs], dtype=np.float64
-            ),
-            ideal_bandwidth=np.array(
-                [r.communication.ideal_bandwidth for r in inputs],
-                dtype=np.float64,
-            ),
-            alpha_write=np.array(
-                [r.communication.alpha_write for r in inputs], dtype=np.float64
-            ),
-            alpha_read=np.array(
-                [r.communication.alpha_read for r in inputs], dtype=np.float64
-            ),
-            ops_per_element=np.array(
-                [r.computation.ops_per_element for r in inputs],
-                dtype=np.float64,
-            ),
-            throughput_proc=np.array(
-                [r.computation.throughput_proc for r in inputs],
-                dtype=np.float64,
-            ),
-            clock_hz=np.array(
-                [r.computation.clock_hz for r in inputs], dtype=np.float64
-            ),
-            t_soft=np.array(
-                [r.software.t_soft for r in inputs], dtype=np.float64
-            ),
-            n_iterations=np.array(
-                [r.software.n_iterations for r in inputs], dtype=np.float64
-            ),
-            names=tuple(r.name for r in inputs),
-        )
+        # Column-major, as DesignSpace stores its values: each column
+        # of the (n, 11) matrix is contiguous.
+        values = np.array([rat.si_values() for rat in inputs], order="F")
+        return cls(*values.T, names=tuple(rat.name for rat in inputs))
 
     @classmethod
     def from_base(
@@ -479,7 +406,7 @@ class BatchInput:
         """
         if n < 1:
             raise ParameterError(f"batch size must be >= 1, got {n}")
-        columns: dict[str, object] = _base_values(base)
+        columns: dict[str, object] = dict(zip(_COLUMNS, base.si_values()))
         broadcast = set(_COLUMNS)
         for name, values in (overrides or {}).items():
             _check_column_name(name)
@@ -502,31 +429,13 @@ class BatchInput:
     def row(self, i: int) -> RATInput:
         """Rehydrate row ``i`` as a scalar :class:`RATInput`.
 
-        A count (``elements_in``, ``elements_out``, ``n_iterations``) is
-        an ``int`` if it is a whole number of at least 1, else the float
-        the kernel read, so the worksheet predicts the row's numbers.
+        Built by :meth:`RATInput.from_si`: a whole count is an ``int``,
+        any other count the float the kernel read, so the worksheet
+        predicts the row's numbers.
         """
-        return RATInput(
-            name=self.names[i] if self.names else "",
-            dataset=DatasetParams(
-                elements_in=_count(self.elements_in[i]),
-                elements_out=_count(self.elements_out[i]),
-                bytes_per_element=float(self.bytes_per_element[i]),
-            ),
-            communication=CommunicationParams(
-                ideal_bandwidth=float(self.ideal_bandwidth[i]),
-                alpha_write=float(self.alpha_write[i]),
-                alpha_read=float(self.alpha_read[i]),
-            ),
-            computation=ComputationParams(
-                ops_per_element=float(self.ops_per_element[i]),
-                throughput_proc=float(self.throughput_proc[i]),
-                clock_hz=float(self.clock_hz[i]),
-            ),
-            software=SoftwareParams(
-                t_soft=float(self.t_soft[i]),
-                n_iterations=_count(self.n_iterations[i]),
-            ),
+        return RATInput.from_si(
+            [getattr(self, name)[i] for name in _COLUMNS],
+            self.names[i] if self.names else "",
         )
 
     def to_inputs(self) -> list[RATInput]:
@@ -909,7 +818,7 @@ class GridKernel:
     def __init__(
         self, base: RATInput, columns: Mapping[str, np.ndarray]
     ) -> None:
-        values: dict[str, object] = _base_values(base)
+        values: dict[str, object] = dict(zip(_COLUMNS, base.si_values()))
         for name, column in columns.items():
             _check_column_name(name)
             values[name] = np.asarray(column, dtype=np.float64)

@@ -17,13 +17,21 @@ the constructors accept the worksheet's scaled units through the
 ``from_worksheet`` helpers.  Validation is strict — the paper's methodology
 depends on every parameter being physically meaningful, and a silent
 negative element count would poison every downstream equation.
+
+:data:`WORKSHEET_FIELDS` is the one schema of a JSON worksheet:
+:func:`worksheet_row` stages a worksheet into its 11 SI values, and
+:meth:`RATInput.from_si` / :meth:`RATInput.si_values` convert between
+those values and a validated :class:`RATInput`.  The scalar constructor
+:meth:`RATInput.from_dict`, the batch engine, the prediction service
+and the uncertainty analysis all read worksheets through them, so every
+path stages the same bits and reports the same errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from ..errors import ParameterError
 from ..units import MB, MHZ
@@ -34,6 +42,8 @@ __all__ = [
     "ComputationParams",
     "SoftwareParams",
     "RATInput",
+    "WORKSHEET_FIELDS",
+    "worksheet_row",
     "positive_violation",
     "nonnegative_violation",
     "fraction_violation",
@@ -93,6 +103,75 @@ def _require_fraction(name: str, value: float) -> None:
     message = fraction_violation(name, value)
     if message is not None:
         raise ParameterError(message)
+
+
+#: The Table-1 worksheet fields, in :class:`~repro.core.batch.BatchInput`
+#: column order: (JSON key, SI batch column, display-to-SI scale, whether
+#: the field is a count).  :func:`worksheet_row` stages a count through
+#: ``int()``, truncation included, and multiplies by the scale.
+WORKSHEET_FIELDS: tuple[tuple[str, str, float, bool], ...] = (
+    ("elements_in", "elements_in", 1.0, True),
+    ("elements_out", "elements_out", 1.0, True),
+    ("bytes_per_element", "bytes_per_element", 1.0, False),
+    ("throughput_ideal_mbps", "ideal_bandwidth", MB, False),
+    ("alpha_write", "alpha_write", 1.0, False),
+    ("alpha_read", "alpha_read", 1.0, False),
+    ("ops_per_element", "ops_per_element", 1.0, False),
+    ("throughput_proc", "throughput_proc", 1.0, False),
+    ("clock_mhz", "clock_hz", MHZ, False),
+    ("t_soft", "t_soft", 1.0, False),
+    ("n_iterations", "n_iterations", 1.0, True),
+)
+
+
+def worksheet_row(worksheet: Mapping[str, object]) -> tuple[float, ...]:
+    """Stage one worksheet dict as its 11 SI floats, unvalidated.
+
+    Applies :data:`WORKSHEET_FIELDS`' conversions — ``int()`` truncation
+    for counts, MB/s and MHz scaling — and nothing else, so an
+    out-of-range value survives staging: :meth:`RATInput.from_si`
+    validates it, or the batch engine quarantines its row.
+
+    The straight-line tuple build runs once per served prediction; only
+    a failure walks the table, to name the first missing or non-numeric
+    field.
+    """
+    try:
+        return (
+            float(int(worksheet["elements_in"])),
+            float(int(worksheet["elements_out"])),
+            float(worksheet["bytes_per_element"]),
+            float(worksheet["throughput_ideal_mbps"]) * MB,
+            float(worksheet["alpha_write"]),
+            float(worksheet["alpha_read"]),
+            float(worksheet["ops_per_element"]),
+            float(worksheet["throughput_proc"]),
+            float(worksheet["clock_mhz"]) * MHZ,
+            float(worksheet["t_soft"]),
+            float(int(worksheet["n_iterations"])),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    if not isinstance(worksheet, Mapping):
+        raise ParameterError(
+            "worksheet must be a JSON object of Table-1 fields"
+        )
+    for key, _column, _scale, count in WORKSHEET_FIELDS:
+        if key not in worksheet:
+            raise ParameterError(f"missing worksheet field {key!r}")
+        raw = worksheet[key]
+        try:
+            float(int(raw)) if count else float(raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterError(
+                f"non-numeric worksheet field {key!r}: {raw!r}"
+            ) from None
+    raise ParameterError("worksheet could not be staged")  # unreachable
+
+
+def _count(value: float) -> int | float:
+    """A count as :meth:`RATInput.from_si` stores it: whole -> ``int``."""
+    return int(value) if value.is_integer() else value
 
 
 @dataclass(frozen=True)
@@ -304,6 +383,37 @@ class RATInput:
 
     # ---- serialization ------------------------------------------------------
 
+    def si_values(self) -> tuple[float, ...]:
+        """The 11 values in SI units, in :data:`WORKSHEET_FIELDS` order."""
+        d, c, k = self.dataset, self.communication, self.computation
+        s = self.software
+        return tuple(map(float, (
+            d.elements_in, d.elements_out, d.bytes_per_element,
+            c.ideal_bandwidth, c.alpha_write, c.alpha_read,
+            k.ops_per_element, k.throughput_proc, k.clock_hz,
+            s.t_soft, s.n_iterations,
+        )))
+
+    @classmethod
+    def from_si(cls, values: Sequence[float], name: str = "") -> "RATInput":
+        """Build and validate a worksheet from its 11 SI values.
+
+        ``values`` are in :data:`WORKSHEET_FIELDS` order, as
+        :func:`worksheet_row` stages them and :meth:`si_values` returns
+        them.  A count that is a whole number becomes an ``int``; any
+        other stays the float it was, so the worksheet predicts exactly
+        the values it was given.
+        """
+        (e_in, e_out, bytes_per_element, bandwidth, alpha_write, alpha_read,
+         ops, throughput_proc, clock_hz, t_soft, n_iter) = map(float, values)
+        return cls(
+            DatasetParams(_count(e_in), _count(e_out), bytes_per_element),
+            CommunicationParams(bandwidth, alpha_write, alpha_read),
+            ComputationParams(ops, throughput_proc, clock_hz),
+            SoftwareParams(t_soft, _count(n_iter)),
+            name,
+        )
+
     def to_dict(self) -> dict[str, Any]:
         """Flatten to the worksheet's unit conventions (MB/s, MHz)."""
         return {
@@ -323,29 +433,15 @@ class RATInput:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RATInput":
-        """Inverse of :meth:`to_dict`; raises ParameterError on bad keys."""
-        try:
-            return cls(
-                name=str(data.get("name", "")),
-                dataset=DatasetParams(
-                    elements_in=int(data["elements_in"]),
-                    elements_out=int(data["elements_out"]),
-                    bytes_per_element=float(data["bytes_per_element"]),
-                ),
-                communication=CommunicationParams.from_worksheet(
-                    ideal_mbps=float(data["throughput_ideal_mbps"]),
-                    alpha_write=float(data["alpha_write"]),
-                    alpha_read=float(data["alpha_read"]),
-                ),
-                computation=ComputationParams.from_worksheet(
-                    ops_per_element=float(data["ops_per_element"]),
-                    throughput_proc=float(data["throughput_proc"]),
-                    clock_mhz=float(data["clock_mhz"]),
-                ),
-                software=SoftwareParams(
-                    t_soft=float(data["t_soft"]),
-                    n_iterations=int(data["n_iterations"]),
-                ),
-            )
-        except KeyError as exc:
-            raise ParameterError(f"missing worksheet field {exc.args[0]!r}") from exc
+        """Inverse of :meth:`to_dict`: stage, then validate.
+
+        The worksheet is staged by :func:`worksheet_row`, the function
+        the prediction service stages requests with, and built by
+        :meth:`from_si`.  Every fault is a :class:`ParameterError`: a
+        missing or non-numeric field (``None`` included) is named
+        first, ahead of any out-of-range value, and the text is the one
+        ``/v1/predict`` and ``/v1/batch`` answer for that worksheet.
+        Counts pass through float staging, so one above ``2**53`` is
+        rounded to the nearest float.
+        """
+        return cls.from_si(worksheet_row(data), str(data.get("name", "")))

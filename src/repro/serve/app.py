@@ -480,7 +480,7 @@ class RATApp:
             )
         axes_raw = _require_object(body.get("axes", {}), "'axes'")
         axes = {
-            str(name): _axis_values(str(name), spec)
+            str(name): _axis_values(str(name), spec, self.max_explore_points)
             for name, spec in axes_raw.items()
         }
         points = math.prod(len(values) for values in axes.values())
@@ -491,7 +491,11 @@ class RATApp:
             )
         mode = _buffering_mode(str(body.get("mode", "single")))
         on_error = str(body.get("on_error", "fail"))
-        top = int(body.get("top", _EXPLORE_TOP_DEFAULT))
+        raw_top = body.get("top", _EXPLORE_TOP_DEFAULT)
+        try:
+            top = int(raw_top)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"non-numeric top: {raw_top!r}") from exc
         space = DesignSpace.grid(base, **axes)
         result = await asyncio.to_thread(
             explore, space, mode, on_error=on_error
@@ -546,8 +550,12 @@ def _buffering_mode(value: str) -> BufferingMode:
         ) from None
 
 
-def _axis_values(name: str, spec: object) -> list[float]:
-    """Decode one axis: an explicit list or a lo/hi/count range object."""
+def _axis_values(name: str, spec: object, max_points: int) -> list[float]:
+    """Decode one axis: an explicit list or a lo/hi/count range object.
+
+    A range longer than ``max_points`` is refused before it is built:
+    its sweep could only exceed the limit.
+    """
     from ..explore import axis_range
 
     if isinstance(spec, list):
@@ -568,10 +576,15 @@ def _axis_values(name: str, spec: object) -> list[float]:
             raise ParameterError(
                 f"axis {name!r} range needs 'lo', 'hi', and 'count'"
             ) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(
                 f"axis {name!r} has a non-numeric bound"
             ) from exc
+        if count > max_points:
+            raise LimitError(
+                f"axis {name!r} of {count} points exceeds the "
+                f"{max_points}-point limit"
+            )
         return axis_range(name, low, high, count)
     raise ParameterError(
         f"axis {name!r} must be a value list or a lo/hi/count object"

@@ -27,8 +27,9 @@ Correctness contracts:
 * **Bitwise parity.**  A prediction served through a coalesced batch is
   IEEE-754-identical to what scalar ``predict()`` returns for the same
   worksheet — inherited from the batch kernel's operation-order
-  guarantee, preserved here by staging worksheet fields with exactly the
-  conversions :meth:`RATInput.from_dict` applies.
+  guarantee, preserved here by staging each worksheet with
+  :func:`~repro.core.params.worksheet_row`, the function
+  :meth:`RATInput.from_dict` stages with.
 * **Row-level quarantine.**  One invalid worksheet in a coalesced batch
   fails only that request: rows are staged unvalidated, triaged by one
   :func:`repro.core.batch.row_violations` rule pass (the exploration
@@ -70,12 +71,11 @@ from ..core.batch import (
 )
 from ..core.buffering import BufferingMode
 from ..core.plan import PredictionPlan
-from ..core.params import RATInput
+from ..core.params import RATInput, worksheet_row
 from ..errors import AdmissionError, DeadlineError, ParameterError, ServeError
 from ..obs import get_metrics, get_tracer
 from ..obs.log import event, get_logger
 from ..obs.propagation import current_context
-from ..units import MB, MHZ
 
 __all__ = [
     "MicroBatcher",
@@ -99,24 +99,6 @@ _MODES: dict[str, PredictionModes] = {
     "both": (BufferingMode.SINGLE, BufferingMode.DOUBLE),
 }
 
-#: Worksheet keys staged into batch columns, in BatchInput column order.
-#: ``int`` marks fields ``RATInput.from_dict`` coerces through ``int()``
-#: (truncation included), ``MB``/``MHZ`` the worksheet's display-unit
-#: scale factors — matching those conversions exactly is what makes the
-#: batched result bitwise-equal to the scalar path.
-_FIELDS: tuple[tuple[str, str, float], ...] = (
-    ("elements_in", "int", 1.0),
-    ("elements_out", "int", 1.0),
-    ("bytes_per_element", "float", 1.0),
-    ("throughput_ideal_mbps", "float", MB),
-    ("alpha_write", "float", 1.0),
-    ("alpha_read", "float", 1.0),
-    ("ops_per_element", "float", 1.0),
-    ("throughput_proc", "float", 1.0),
-    ("clock_mhz", "float", MHZ),
-    ("t_soft", "float", 1.0),
-    ("n_iterations", "int", 1.0),
-)
 
 def resolve_modes(mode: str) -> PredictionModes:
     """Map a request's ``mode`` string to the modes to evaluate."""
@@ -126,58 +108,6 @@ def resolve_modes(mode: str) -> PredictionModes:
         raise ParameterError(
             f"mode must be one of {sorted(_MODES)}, got {mode!r}"
         ) from None
-
-
-def worksheet_row(worksheet: Mapping[str, object]) -> tuple[float, ...]:
-    """Stage one worksheet dict as an 11-float batch row (SI units).
-
-    Applies exactly the conversions :meth:`RATInput.from_dict` applies —
-    ``int()`` truncation for count fields, MB/s and MHz scaling — but
-    defers *validation* so an out-of-range value survives staging and is
-    quarantined at batch level with a per-row diagnostic.
-
-    The straight-line tuple build is the request hot path (it runs once
-    per prediction, outside any batch amortization); failures fall
-    through to :func:`_diagnose_row`, which re-walks the fields to name
-    the offender.
-    """
-    try:
-        return (
-            float(int(worksheet["elements_in"])),
-            float(int(worksheet["elements_out"])),
-            float(worksheet["bytes_per_element"]),
-            float(worksheet["throughput_ideal_mbps"]) * MB,
-            float(worksheet["alpha_write"]),
-            float(worksheet["alpha_read"]),
-            float(worksheet["ops_per_element"]),
-            float(worksheet["throughput_proc"]),
-            float(worksheet["clock_mhz"]) * MHZ,
-            float(worksheet["t_soft"]),
-            float(int(worksheet["n_iterations"])),
-        )
-    except KeyError as exc:
-        raise ParameterError(
-            f"missing worksheet field {exc.args[0]!r}"
-        ) from None
-    except (TypeError, ValueError, OverflowError):
-        raise _diagnose_row(worksheet) from None
-
-
-def _diagnose_row(worksheet: object) -> ParameterError:
-    """Name the field that made :func:`worksheet_row`'s fast path fail."""
-    if not isinstance(worksheet, Mapping):
-        return ParameterError(
-            "worksheet must be a JSON object of Table-1 fields"
-        )
-    for key, kind, _scale in _FIELDS:
-        raw = worksheet.get(key)
-        try:
-            float(int(raw)) if kind == "int" else float(raw)
-        except (TypeError, ValueError, OverflowError):
-            return ParameterError(
-                f"non-numeric worksheet field {key!r}: {raw!r}"
-            )
-    return ParameterError("worksheet could not be staged")  # unreachable
 
 
 def scalar_diagnostic(worksheet: Mapping[str, object], fallback: str) -> str:
@@ -194,8 +124,6 @@ def scalar_diagnostic(worksheet: Mapping[str, object], fallback: str) -> str:
         RATInput.from_dict(worksheet)
     except ParameterError as exc:
         return str(exc)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return f"invalid worksheet value: {exc}"
     return fallback
 
 

@@ -19,14 +19,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
-import sys
+from inspect import signature
 
 from ..errors import ParameterError
 from ..obs import get_metrics
 from ..obs.log import configure_logging, event, get_logger
 from .app import RATApp
 from .protocol import (
-    MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
     ProtocolError,
     Request,
@@ -58,8 +57,8 @@ class RATServer:
         self.port = int(port)
         self.drain_timeout_s = float(drain_timeout_s)
         #: A pre-created listening socket (cluster mode: each shard's
-        #: ``SO_REUSEPORT`` socket, or a parent-bound fd shared across
-        #: shards).  When set, ``host``/``port`` are informational.
+        #: own ``SO_REUSEPORT`` socket).  When set, ``host``/``port`` are
+        #: informational.
         self.sock = sock
         self._server: asyncio.Server | None = None
         #: Open connections: handler task -> its (reader, writer).
@@ -231,15 +230,10 @@ async def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 8321,
-    max_batch_size: int = 64,
-    max_pending: int = 1024,
-    max_body_bytes: int = MAX_BODY_BYTES,
-    max_batch_rows: int = 4096,
-    max_explore_points: int = 200_000,
-    default_deadline_s: float | None = None,
     drain_timeout_s: float = 10.0,
     quiet: bool = False,
     access_log: str | None = None,
+    **app_options,
 ) -> None:
     """Run the service until SIGTERM/SIGINT, then drain and return.
 
@@ -249,19 +243,15 @@ async def serve(
 
     ``access_log`` enables the structured JSONL event stream (one
     ``http.access`` line per request, plus batcher/exploration lifecycle
-    events) to the given path, or to stderr for ``"-"``.
+    events) to the given path, or to stderr for ``"-"``.  The other
+    keyword options are :class:`RATApp`'s, with its defaults.
     """
+    # Fail on a typo before the log handler or the listener is set up.
+    signature(RATApp).bind(**app_options)
     access_handler = (
         configure_logging(access_log) if access_log is not None else None
     )
-    app = RATApp(
-        max_batch_size=max_batch_size,
-        max_pending=max_pending,
-        max_body_bytes=max_body_bytes,
-        max_batch_rows=max_batch_rows,
-        max_explore_points=max_explore_points,
-        default_deadline_s=default_deadline_s,
-    )
+    app = RATApp(**app_options)
     server = RATServer(
         app, host=host, port=port, drain_timeout_s=drain_timeout_s
     )
@@ -277,13 +267,13 @@ async def serve(
     if not quiet:
         print(
             f"rat serve: listening on http://{server.host}:{server.port} "
-            f"(max_batch={max_batch_size})",
+            f"(max_batch={app.batcher.max_batch_size})",
             flush=True,
         )
     event(
         _log, "server.started",
         host=server.host, port=server.port,
-        max_batch_size=max_batch_size,
+        max_batch_size=app.batcher.max_batch_size,
     )
     try:
         await server.run()

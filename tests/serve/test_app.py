@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import tracemalloc
 
 import pytest
 
@@ -445,6 +446,53 @@ class TestExploreEndpoint:
         )
         assert status == 413
         assert "100 points" in payload["error"]
+
+    def test_oversized_range_413_before_it_is_built(self):
+        # A lo/hi/count range is refused on its count alone: building
+        # 10**6 axis values first would allocate tens of MB.
+        async def body():
+            app = RATApp(max_explore_points=10)
+            await app.startup()
+            try:
+                tracemalloc.start()
+                response = await app.handle(post("/v1/explore", {
+                    "study": "pdf1d",
+                    "axes": {"clock_mhz": {"lo": 50, "hi": 500,
+                                           "count": 10**6}},
+                }))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                await app.shutdown()
+            return response, peak
+
+        response, peak = asyncio.run(body())
+        assert response.status == 413
+        assert "1000000 points" in json.loads(response.body)["error"]
+        assert peak < 1 << 20
+
+    def test_non_numeric_top_400(self):
+        for top in ("abc", None):
+            [(status, payload, _)] = run_app(post("/v1/explore", {
+                "study": "pdf1d",
+                "axes": {"clock_mhz": [100.0]},
+                "top": top,
+            }))
+            assert status == 400, top
+            assert payload["error"] == f"non-numeric top: {top!r}"
+
+    def test_non_numeric_inline_worksheet_400(self):
+        errors = get_metrics().counter("serve.errors")
+        before = errors.value
+        [(status, payload, _)] = run_app(post("/v1/explore", {
+            "worksheet": {**WORKSHEET, "clock_mhz": "abc"},
+            "axes": {"alpha": [0.5]},
+        }))
+        assert status == 400
+        assert payload["error"] == (
+            "non-numeric worksheet field 'clock_mhz': 'abc'"
+        )
+        assert errors.value == before
 
 
 class TestMetricsEndpoint:

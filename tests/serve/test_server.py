@@ -4,7 +4,10 @@ import asyncio
 import json
 import os
 
-from repro.serve import RATApp, RATServer
+import pytest
+
+from repro.serve import RATApp, RATServer, serve
+from repro.serve import server as server_module
 
 from .test_batcher import WORKSHEET
 
@@ -275,3 +278,39 @@ class TestDrain:
         status, payload = asyncio.run(body())
         assert status == 200
         assert payload["status"] == "draining"
+
+
+class TestServeEntryPoint:
+    def test_unknown_app_option_fails_before_any_setup(self, tmp_path):
+        # The typo is caught before the access log is opened.
+        log = tmp_path / "access.jsonl"
+        with pytest.raises(TypeError):
+            asyncio.run(serve(port=0, access_log=str(log), max_batch=8))
+        assert not log.exists()
+
+    def test_app_options_reach_the_app_and_the_banner(
+        self, capsys, monkeypatch
+    ):
+        servers = []
+
+        class Recording(RATServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                servers.append(self)
+
+        monkeypatch.setattr(server_module, "RATServer", Recording)
+
+        async def body():
+            task = asyncio.ensure_future(serve(
+                port=0, max_batch_size=8, max_explore_points=10
+            ))
+            while not servers or not servers[0].running:
+                await asyncio.sleep(0.01)
+            servers[0].drain()
+            await asyncio.wait_for(task, timeout=10.0)
+
+        asyncio.run(body())
+        app = servers[0].app
+        assert (app.batcher.max_batch_size, app.max_explore_points) == (8, 10)
+        banner = capsys.readouterr().out.splitlines()[0]
+        assert banner.endswith(f":{servers[0].port} (max_batch=8)")
