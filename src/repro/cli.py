@@ -69,7 +69,7 @@ from .core.buffering import BufferingMode
 from .core.goalseek import required_alpha, required_clock, required_throughput_proc
 from .core.params import RATInput
 from .core.worksheet import RATWorksheet
-from .errors import RATError
+from .errors import ParameterError, RATError
 from .obs import (
     SimTrace,
     TRACK_COMPUTE,
@@ -435,10 +435,20 @@ def _parse_clocks(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+def _load_worksheet(path: str) -> RATInput:
+    """The worksheet in JSON file ``path``; malformed JSON is a
+    ``ParameterError`` naming the file, so the CLI exits 2."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{path}: not valid JSON: {exc}") from exc
+    return RATInput.from_dict(data)
+
+
 def _cmd_worksheet(args: argparse.Namespace) -> int:
     if args.json:
-        with open(args.json, encoding="utf-8") as handle:
-            rat = RATInput.from_dict(json.load(handle))
+        rat = _load_worksheet(args.json)
     else:
         rat = get_case_study(args.study).rat
     worksheet = RATWorksheet(rat, clocks_mhz=_parse_clocks(args.clocks))
@@ -571,8 +581,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     platform = None
     if args.json:
-        with open(args.json, encoding="utf-8") as handle:
-            rat = RATInput.from_dict(json.load(handle))
+        rat = _load_worksheet(args.json)
     else:
         study = get_case_study(args.study)
         rat = study.rat
@@ -642,7 +651,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _parse_axis_spec(text: str) -> tuple[str, list[float]]:
     """Parse one ``--axis NAME=v1,v2,...`` / ``NAME=lo:hi:count`` flag."""
-    from .errors import ParameterError
     from .explore import axis_range
 
     name, separator, spec = text.partition("=")

@@ -530,6 +530,14 @@ class BatchPrediction:
     .ThroughputPrediction` row-wise: ``t_input``/``t_output`` are per
     iteration, ``t_rc`` covers all iterations, and the utilizations
     follow Equations (8)-(11) for the evaluated buffering mode.
+
+    ``batch`` may be given as a zero-argument callable that builds it
+    instead: it runs on the first read of ``batch``, and the batch it
+    returns is kept and returned by every later read.
+    :func:`~repro.explore.explore` defers a grid's batch this way, so
+    a caller that reads only the result columns never stages one.  The
+    callable must pickle for the prediction to (a module-level function
+    or a ``functools.partial`` of one, not a lambda).
     """
 
     batch: BatchInput
@@ -542,6 +550,24 @@ class BatchPrediction:
     speedup: np.ndarray
     util_comp: np.ndarray
     util_comm: np.ndarray
+
+    def __post_init__(self) -> None:
+        if callable(self.batch):
+            object.__setattr__(
+                self, "_build_batch", self.__dict__.pop("batch")
+            )
+
+    def __getattr__(self, name: str) -> BatchInput:
+        # Reached only for an attribute the instance lacks: a deferred
+        # ``batch`` before its first read.
+        build = self.__dict__.get("_build_batch")
+        if name != "batch" or build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        batch = self.__dict__.setdefault("batch", build())
+        self.__dict__.pop("_build_batch", None)
+        return batch
 
     def __len__(self) -> int:
         return int(self.t_rc.shape[0])
@@ -597,23 +623,18 @@ class BatchPrediction:
 
     def as_records(self) -> list[dict[str, float]]:
         """Flat per-row dicts mirroring ``ThroughputPrediction.as_dict``."""
-        clock_mhz = self.batch.clock_hz / 1e6
-        records = []
-        for i in range(len(self)):
-            record = {
-                "clock_mhz": float(clock_mhz[i]),
-                "t_input": float(self.t_input[i]),
-                "t_output": float(self.t_output[i]),
-                "t_comm": float(self.t_comm[i]),
-                "t_comp": float(self.t_comp[i]),
-                "t_rc": float(self.t_rc[i]),
-                "speedup": float(self.speedup[i]),
-                "util_comp": float(self.util_comp[i]),
-                "util_comm": float(self.util_comm[i]),
-            }
-            if self.batch.names:
+        return self.records_at(np.arange(len(self)))
+
+    def records_at(self, rows: np.ndarray) -> list[dict[str, float]]:
+        """:meth:`as_records` of rows ``rows`` only, in their order."""
+        columns = [(self.batch.clock_hz[rows] / 1e6).tolist()]
+        for name in _RESULT_COLUMNS:
+            columns.append(getattr(self, name)[rows].tolist())
+        keys = ("clock_mhz", *_RESULT_COLUMNS)
+        records = [dict(zip(keys, values)) for values in zip(*columns)]
+        if self.batch.names:
+            for record, i in zip(records, rows.tolist()):
                 record["name"] = self.batch.names[i]
-            records.append(record)
         return records
 
 

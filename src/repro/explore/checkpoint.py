@@ -36,6 +36,8 @@ import json
 import os
 from typing import Any, Iterator
 
+import numpy as np
+
 from ..core.buffering import BufferingMode
 from ..errors import ExplorationError, ParameterError
 from .space import DesignSpace
@@ -43,6 +45,9 @@ from .space import DesignSpace
 __all__ = ["ChunkJournal", "JOURNAL_VERSION", "run_key"]
 
 JOURNAL_VERSION = 1
+
+#: Design rows per block hashed by :func:`run_key`.
+_HASH_ROWS = 65536
 
 
 def run_key(
@@ -67,12 +72,18 @@ def run_key(
     key hashes one more field and a journal of the old layout is
     refused.  Every other key is unchanged.
     """
-    values = space.values.astype(dtype="<f8", copy=False)
+    # The C-order bytes of ``values``, hashed a block of rows at a time
+    # (a grid's read from its axes), so no n x k matrix is built.
+    values_sha = hashlib.sha256()
+    n = len(space)
+    for lo in range(0, n, _HASH_ROWS):
+        block = space.values_at(np.arange(lo, min(lo + _HASH_ROWS, n)))
+        values_sha.update(block.astype("<f8", copy=False).tobytes(order="C"))
     fields = {
         "version": JOURNAL_VERSION,
         "base": space.base.to_dict(),
         "axes": list(space.axes),
-        "values_sha": hashlib.sha256(values.tobytes(order="C")).hexdigest(),
+        "values_sha": values_sha.hexdigest(),
         "mode": mode.value,
         "chunk_size": int(chunk_size),
         "on_error": on_error,

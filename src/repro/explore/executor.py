@@ -7,7 +7,8 @@ into fixed-size chunks.  Each chunk runs the Eq (1)-(11) kernel
 in-process, straight into its slice of those columns, so results are
 neither copied out per chunk nor concatenated.  A clean grid's chunks
 run the same equations folded onto its axes
-(:class:`~repro.core.batch.GridKernel`).  It has no process pool:
+(:class:`~repro.core.batch.GridKernel`), and its batch is staged only
+if the result's ``prediction.batch`` is read.  It has no process pool:
 pickling a chunk's rows to a worker and its results back costs far more
 than the kernel spends on them (``docs/performance.md``, "Why explore()
 has no process pool").
@@ -60,6 +61,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -156,18 +158,28 @@ class ExplorationResult:
 
     def as_records(self) -> list[dict[str, float]]:
         """One flat dict per prediction row: axis values + fields."""
-        records = self.prediction.as_records()
-        for i, record in enumerate(records):
-            record.update(self.space.point(self.design_index(i)))
-        return records
+        return self._records(np.arange(len(self)))
 
     def ranked(self, top: int = 0) -> list[dict[str, float]]:
         """:meth:`as_records` by speedup, best first, cut to ``top`` if
         ``top > 0``.  Quarantined (NaN) rows are left out, since NaN
-        compares false to everything; ``failures`` reports them."""
-        records = [r for r in self.as_records() if r["speedup"] == r["speedup"]]
-        records.sort(key=lambda r: -r["speedup"])
-        return records[:top] if top > 0 else records
+        compares false to everything; ``failures`` reports them.  Rows
+        of equal speedup keep their order.  Only the returned rows'
+        records are built."""
+        speedup = self.prediction.speedup
+        rows = np.flatnonzero(speedup == speedup)
+        rows = rows[np.argsort(-speedup[rows], kind="stable")]
+        return self._records(rows[:top] if top > 0 else rows)
+
+    def _records(self, rows: np.ndarray) -> list[dict[str, float]]:
+        """:meth:`as_records` of prediction rows ``rows``, in order."""
+        records = self.prediction.records_at(rows)
+        designs = rows if self.indices is None else self.indices[rows]
+        for record, values in zip(
+            records, self.space.values_at(designs).tolist()
+        ):
+            record.update(zip(self.space.axes, values))
+        return records
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,6 +293,15 @@ def _open_journal(
     return journal, done
 
 
+def _grid_batch(space: DesignSpace) -> BatchInput:
+    """A clean grid's ``prediction.batch``, staged on its first read.
+
+    Every axis value passed the rules, so it is marked valid without a
+    rule pass.
+    """
+    return mark_rows_valid(space.to_batch(check=False))
+
+
 def explore(
     space: DesignSpace,
     mode: BufferingMode = BufferingMode.SINGLE,
@@ -307,9 +328,14 @@ def explore(
     validation rules is evaluated folded, under every policy: the rules
     run once per axis value (:meth:`DesignSpace.grid_columns`), and
     :class:`~repro.core.batch.GridKernel` evaluates Equations (1)-(4)
-    once per axis value and Equations (5)-(11) per row.  Its results,
-    chunks, spans and journals are bit for bit those of the row path,
-    which every other space, and a grid with a bad axis value, takes.
+    once per axis value and Equations (5)-(11) per row.  It stages no
+    input column: the result's ``prediction.batch`` is built from the
+    axes on its first read (see
+    :class:`~repro.core.batch.BatchPrediction`), so a caller that reads
+    only the result columns allocates those eight columns and nothing
+    else.  Its results, chunks, spans, journals and, once read,
+    ``prediction.batch`` are bit for bit those of the row path, which
+    every other space, and a grid with a bad axis value, takes.
     """
     if chunk_size < 1:
         raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -333,9 +359,12 @@ def explore(
             grid = space.grid_columns()
             kernel = None
             if grid is not None:
-                # Every axis value passed the rules, so every design does.
-                batch = mark_rows_valid(space.to_batch(check=False))
+                # Every axis value passed the rules, so every design
+                # does.  The kernel reads the axes; the batch is staged
+                # only if prediction.batch is read.
                 kernel = GridKernel(space.base, grid)
+                batch = partial(_grid_batch, space)
+                m = n
                 if on_error == "skip":
                     valid_indices = np.arange(n)
             else:
@@ -355,7 +384,7 @@ def explore(
                         )
                     else:
                         failed = rows
-            m = len(batch)
+                m = len(batch)
             bounds = _chunk_bounds(m, chunk_size)
             columns = tuple(np.empty(m) for _ in _RESULT_COLUMNS)
             journal, done = _open_journal(

@@ -6,9 +6,10 @@ row per candidate design, stored column-major so each axis column is
 contiguous.  Three constructors cover the common sampling
 plans: :meth:`DesignSpace.grid` (full cross product),
 :meth:`DesignSpace.random` (independent uniform draws), and
-:meth:`DesignSpace.explicit` (a hand-picked point list).  A grid also
-keeps its per-axis value vectors, so :meth:`DesignSpace.grid_columns`
-can hand the batch engine its axes instead of its rows.
+:meth:`DesignSpace.explicit` (a hand-picked point list).  A grid holds
+only its per-axis value vectors: every per-row view is derived from
+them, and :meth:`DesignSpace.grid_columns` hands the batch engine its
+axes instead of its rows.
 
 Every axis is defined twice, consistently:
 
@@ -161,6 +162,24 @@ def _axis(name: str) -> AxisSpec:
     return spec
 
 
+def _check_axes(names: tuple[str, ...]) -> None:
+    """Reject unknown, duplicate and overlapping axes."""
+    for name in names:
+        _axis(name)  # raises on unknown axes
+    if len(set(names)) != len(names):
+        raise ParameterError(f"duplicate axes in {names}")
+    targets = [t for name in names for t in _axis(name).targets]
+    if len(set(targets)) != len(targets):
+        raise ParameterError(
+            f"axes {names} write overlapping worksheet fields"
+        )
+
+
+def _along(vector: np.ndarray, j: int, k: int) -> np.ndarray:
+    """``vector`` shaped to broadcast along dimension ``j`` of ``k``."""
+    return vector.reshape([-1 if d == j else 1 for d in range(k)])
+
+
 @dataclass(frozen=True, eq=False)
 class DesignSpace:
     """``n`` candidate designs spanned by named parameter axes.
@@ -172,27 +191,23 @@ class DesignSpace:
     contiguous view, and read-only.  Construct through :meth:`grid`,
     :meth:`random`, or :meth:`explicit`.
 
-    ``grid_axes`` holds a :meth:`grid`'s value vector per axis,
-    read-only like ``values``; it is ``None`` for every other space.
+    A :meth:`grid` holds only its axes: ``grid_axes``, one read-only
+    value vector per axis (``None`` for every other space).  Its
+    length, :meth:`point`, :meth:`design`, :meth:`values_at` and
+    :meth:`to_batch` are derived from those vectors, so a 1e6-point
+    grid of three 100-value axes holds 2.4 KB of axis values, not a
+    24-MB matrix.  Its ``values`` is built from the axes on first read
+    and kept; pickling leaves it out.
     """
 
     base: RATInput
     axes: tuple[str, ...]
-    values: np.ndarray
-    grid_axes: tuple[np.ndarray, ...] | None = field(
-        default=None, init=False, repr=False
-    )
+    # Left out of repr, which must not build a grid's matrix.
+    values: np.ndarray = field(repr=False)
+    grid_axes: tuple[np.ndarray, ...] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        for name in self.axes:
-            _axis(name)  # raises on unknown axes
-        if len(set(self.axes)) != len(self.axes):
-            raise ParameterError(f"duplicate axes in {self.axes}")
-        targets = [t for name in self.axes for t in _axis(name).targets]
-        if len(set(targets)) != len(targets):
-            raise ParameterError(
-                f"axes {self.axes} write overlapping worksheet fields"
-            )
+        _check_axes(self.axes)
         matrix = np.asarray(self.values, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != len(self.axes):
             raise ParameterError(
@@ -205,6 +220,28 @@ class DesignSpace:
         matrix.flags.writeable = False
         object.__setattr__(self, "values", matrix)
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only for an attribute the instance lacks: a grid's
+        # ``values`` before its first read.
+        if name != "values" or self.__dict__.get("grid_axes") is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        matrix = np.empty((len(self), len(self.axes)), order="F")
+        for j, vector in enumerate(self.grid_axes):
+            matrix[:, j].reshape(self._shape)[...] = _along(
+                vector, j, len(self.axes)
+            )
+        matrix.flags.writeable = False
+        return self.__dict__.setdefault("values", matrix)
+
+    def __getstate__(self) -> dict:
+        # A grid pickles as its axes; ``values`` is rebuilt on read.
+        state = dict(self.__dict__)
+        if self.grid_axes is not None:
+            state.pop("values", None)
+        return state
+
     # ---- constructors ------------------------------------------------------
 
     @classmethod
@@ -215,32 +252,28 @@ class DesignSpace:
         yields 6 points.  Axis order follows keyword order; the last axis
         varies fastest.
 
-        The space keeps each axis's value vector as ``grid_axes``, so
-        :func:`~repro.explore.explore` can validate each axis value once
-        and fold Equations (1)-(4) onto the axes (see
+        The space keeps only each axis's value vector, as ``grid_axes``,
+        so :func:`~repro.explore.explore` can validate each axis value
+        once and fold Equations (1)-(4) onto the axes (see
         :meth:`grid_columns`) instead of evaluating them per row.
         """
         if not axes:
             raise ParameterError("grid requires at least one axis")
         names = tuple(axes)
-        columns = [
+        vectors = tuple(
             np.asarray(list(values), dtype=np.float64)
             for values in axes.values()
-        ]
-        for name, column in zip(names, columns):
-            if column.ndim != 1 or column.shape[0] < 1:
+        )
+        for name, vector in zip(names, vectors):
+            if vector.ndim != 1 or vector.shape[0] < 1:
                 raise ParameterError(f"axis {name!r} needs a 1-D value list")
-        shape = tuple(len(column) for column in columns)
-        matrix = np.empty((math.prod(shape), len(names)), order="F")
-        # Fill each contiguous column, viewed as the grid's index space,
-        # by broadcasting its axis's values along their own dimension.
-        mesh = np.meshgrid(*columns, indexing="ij", sparse=True)
-        for j, axis in enumerate(mesh):
-            matrix[:, j].reshape(shape)[...] = axis
-        space = cls(base=base, axes=names, values=matrix)
-        for column in columns:
-            column.flags.writeable = False
-        object.__setattr__(space, "grid_axes", tuple(columns))
+            vector.flags.writeable = False
+        _check_axes(names)
+        # Built without __init__, which would need the values matrix.
+        space = object.__new__(cls)
+        object.__setattr__(space, "base", base)
+        object.__setattr__(space, "axes", names)
+        object.__setattr__(space, "grid_axes", vectors)
         return space
 
     @classmethod
@@ -291,14 +324,39 @@ class DesignSpace:
 
     # ---- accessors ---------------------------------------------------------
 
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        """A grid's index space: one dimension per axis."""
+        return tuple(map(len, self.grid_axes))
+
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        if self.grid_axes is None:
+            return int(self.values.shape[0])
+        return math.prod(self._shape)
+
+    def values_at(self, rows: int | np.ndarray) -> np.ndarray:
+        """``values[rows]``: the axis values of design(s) ``rows``.
+
+        One design index gives its ``k`` axis values, an array of ``m``
+        non-negative indices an ``(m, k)`` matrix.  A grid reads them
+        from its axes (``np.unravel_index``), without building
+        ``values``.
+        """
+        if self.grid_axes is None:
+            return self.values[rows]
+        index = np.unravel_index(rows, self._shape)
+        return np.array(
+            [vector[i] for vector, i in zip(self.grid_axes, index)]
+        ).T
+
+    def _row(self, i: int) -> list[float]:
+        """Design ``i``'s axis values; a negative ``i`` counts from the
+        end, as ``values[i]`` does."""
+        return self.values_at(range(len(self))[i]).tolist()
 
     def point(self, i: int) -> dict[str, float]:
         """Axis values of design ``i`` as ``{axis: value}``."""
-        return {
-            name: float(self.values[i, j]) for j, name in enumerate(self.axes)
-        }
+        return dict(zip(self.axes, self._row(i)))
 
     def design(self, i: int) -> RATInput:
         """Scalar worksheet for design ``i`` via the ``with_*`` edits.
@@ -309,11 +367,12 @@ class DesignSpace:
         diagnose it.  Axes write disjoint fields, so the order changes
         no valid design.
         """
+        row = self._row(i)
         rat = self.base
         for j in sorted(
             range(len(self.axes)), key=lambda j: _COLUMN_ORDER[self.axes[j]]
         ):
-            rat = _axis(self.axes[j]).edit(rat, float(self.values[i, j]))
+            rat = _axis(self.axes[j]).edit(rat, row[j])
         return rat
 
     def designs(self) -> Iterator[RATInput]:
@@ -325,22 +384,49 @@ class DesignSpace:
 
         Applies each axis's column expansion to the base worksheet; no
         per-row ``RATInput`` objects are created, and axes that need no
-        unit conversion pass their value column on without a copy.
+        unit conversion pass their value column on without a copy.  A
+        grid applies each expansion to its axis vector and fills one
+        contiguous column per expanded vector, shared by every field it
+        writes (both alphas of the ``alpha`` axis).
         ``check=False`` defers row validation so the fault-tolerant
         executor can quarantine invalid design points instead of losing
         the space to its first bad row.
         """
         overrides: dict[str, np.ndarray] = {}
-        for j, name in enumerate(self.axes):
-            overrides.update(_axis(name).columns(self.values[:, j]))
+        if self.grid_axes is None:
+            for j, name in enumerate(self.axes):
+                overrides.update(_axis(name).columns(self.values[:, j]))
+        else:
+            filled: dict[int, np.ndarray] = {}
+            for target, column in self._axis_columns().items():
+                if id(column) not in filled:
+                    flat = np.empty(len(self))
+                    flat.reshape(self._shape)[...] = column
+                    filled[id(column)] = flat
+                overrides[target] = filled[id(column)]
         return BatchInput.from_base(self.base, len(self), overrides, check=check)
+
+    def _axis_columns(self) -> dict[str, np.ndarray]:
+        """A grid's batch columns: each axis's column expansion of its
+        vector, shaped to broadcast over the grid (the axis's length on
+        its own dimension, 1 elsewhere).  An expanded vector several
+        fields share stays one array."""
+        columns: dict[str, np.ndarray] = {}
+        for j, (name, vector) in enumerate(zip(self.axes, self.grid_axes)):
+            expanded = _axis(name).columns(vector)
+            shaped = {
+                id(column): _along(column, j, len(self.axes))
+                for column in expanded.values()
+            }
+            for target, column in expanded.items():
+                columns[target] = shaped[id(column)]
+        return columns
 
     def grid_columns(self) -> dict[str, np.ndarray] | None:
         """A clean grid's batch columns, shaped to its axes, or ``None``.
 
         Each axis's column expansion is applied to its value vector
-        and shaped to broadcast over the grid (the axis's length on its
-        own dimension, 1 elsewhere), ready for
+        and shaped to broadcast over the grid, ready for
         :class:`~repro.core.batch.GridKernel`.  Each axis value is
         checked once against the rule of every column it writes: as the
         base worksheet is an already-validated ``RATInput``, every
@@ -351,15 +437,10 @@ class DesignSpace:
         """
         if self.grid_axes is None:
             return None
-        shape = [1] * len(self.axes)
-        columns: dict[str, np.ndarray] = {}
-        for j, (name, vector) in enumerate(zip(self.axes, self.grid_axes)):
-            shape[j] = len(vector)
-            for target, column in _axis(name).columns(vector).items():
-                if not _COLUMN_RULES[target](column).all():
-                    return None
-                columns[target] = column.reshape(shape)
-            shape[j] = 1
+        columns = self._axis_columns()
+        for target, column in columns.items():
+            if not _COLUMN_RULES[target](column).all():
+                return None
         return columns
 
     def describe(self) -> str:
@@ -368,4 +449,3 @@ class DesignSpace:
             f"{len(self.axes)} axis(es) x {len(self)} point(s) over "
             + ", ".join(self.axes)
         )
-

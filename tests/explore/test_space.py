@@ -232,9 +232,16 @@ class TestToBatch:
             ])
         for j in range(len(space.axes)):
             assert space.values[:, j].flags.c_contiguous
-        # The alpha axis hands its value column to both alpha fields.
         batch = space.to_batch()
-        assert np.shares_memory(batch.alpha_write, space.values)
+        if make == "grid":
+            # A grid fills one contiguous column per expanded axis
+            # vector from its axes; it has no matrix to share.
+            for name in ("clock_hz", "alpha_write", "throughput_proc"):
+                assert getattr(batch, name).flags.c_contiguous
+        else:
+            # The alpha axis hands its value column on without a copy.
+            assert np.shares_memory(batch.alpha_write, space.values)
+        # Both alpha fields share the alpha axis's one column.
         assert batch.alpha_write is batch.alpha_read
 
     def test_random_values_unchanged_by_layout(self, simple_rat):

@@ -38,6 +38,14 @@ class TestWorksheetCommand:
         assert main(["worksheet", "--study", "pdf1d",
                      "--double-buffered"]) == 0
 
+    def test_malformed_json_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "torn.json"
+        path.write_text('{"elements_in": 5,')
+        assert main(["worksheet", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON: ")
+        assert "Traceback" not in err
+
 
 class TestStudyCommand:
     def test_full_report(self, capsys):
@@ -155,6 +163,14 @@ class TestLintCommand:
             "--platform", "Nallatech H101-PCIXM",
         ]) == 1
         assert "small-transfers" in capsys.readouterr().out
+
+    def test_malformed_json_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "torn.json"
+        path.write_text('{"elements_in": 5,')
+        assert main(["lint", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON: ")
+        assert "Traceback" not in err
 
 
 class TestJsonOutput:
